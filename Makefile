@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant bench bench-ingress bench-tenant fuzz experiments examples verilog clean
+.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-dpbench bench bench-ingress bench-tenant fuzz experiments examples verilog clean
 
 all: check
 
@@ -11,8 +11,9 @@ all: check
 # detector over the concurrent packages, the observability layer, the
 # fault-injection suite, the live-upgrade suite, the sharded traffic
 # plane, the graded threat-response engine, the adversarial campaign
-# corpus, and the multi-tenant protection domains.
-check: build vet fmt-check test test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant
+# corpus, the multi-tenant protection domains, and the data-plane
+# benchmark module.
+check: build vet fmt-check test test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-dpbench
 
 build:
 	$(GO) build ./...
@@ -68,12 +69,14 @@ test-shard:
 	$(GO) test -run 'ShardScalingGate|IngressFastGate' -count=1 ./internal/shard/
 
 # The graded threat-response engine under the race detector: EWMA/FSM
-# edge cases, deterministic campaign replay (byte-identical incident
-# records), the live-plane concurrent-drains test, and the shard-side
-# conservation drill with responses firing mid-traffic.
+# edge cases, the live-plane concurrent-drains test, the burst/ramp/drip
+# drills on the campaign chassis (byte-identical incident records), the
+# shard-side conservation drill with responses firing mid-traffic, and the
+# npsim self-asserting threat drill end to end.
 test-threat:
 	$(GO) test -race ./internal/threat/...
-	$(GO) test -race -run 'Threat' -count=1 ./internal/shard/...
+	$(GO) test -race -run 'Threat' -count=1 ./internal/shard/... ./internal/campaign/...
+	$(GO) run ./cmd/npsim -threat all > /dev/null
 
 # The hierarchical control plane under the race detector (wave rollouts,
 # partition-tolerant delivery, resume, rotation), plus the npsim drills
@@ -101,6 +104,12 @@ test-tenant:
 	$(GO) test -race ./internal/tenant/...
 	$(GO) test -race -run 'Tenant|Domain|Instance' -count=1 ./internal/npu/... ./internal/shard/... ./internal/campaign/...
 	$(GO) run ./cmd/npsim -tenant > /dev/null
+
+# The data-plane benchmark is a nested module, so the root ./... never
+# compiles it; vet and test it here so an npu, shard or tenant API change
+# cannot break it unseen.
+test-dpbench:
+	cd dpbench && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -55,7 +55,7 @@ func main() {
 	fleetDrill := flag.String("fleet", "", "hierarchical control-plane drill: clean, partition, badwave, or all")
 	load := flag.Bool("load", false, "run the sharded traffic plane under overload (see -shards)")
 	shards := flag.Int("shards", 4, "line-card shards for -load")
-	threatDrill := flag.String("threat", "", "graded threat-response drill: burst, ramp, slowdrip, or all (self-asserting, replayed twice)")
+	threatDrill := flag.String("threat", "", "graded threat-response drill: burst, ramp, drip, or all (self-asserting; replayed twice through the wire codec)")
 	campaignDrill := flag.String("campaign", "", "adversarial campaign drill: gadget, collision, slowdrip, noc, poison, or all (self-asserting; replayed twice through the wire codec, plus the fleet evasion drill with all)")
 	tenantDrill := flag.Bool("tenant", false, "run the self-asserting two-tenant isolation drill (gadget + noc at one tenant; bystander byte-identical to a no-attack control)")
 	incidentsOut := flag.String("incidents", "", "write captured incident records as JSON lines (with -threat)")

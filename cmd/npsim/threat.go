@@ -1,12 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"reflect"
-	"sort"
+	"slices"
 
+	"sdmmon/internal/campaign"
 	"sdmmon/internal/threat"
 )
 
@@ -15,47 +14,14 @@ import (
 // stable p50.
 const threatSweepSeeds = 16
 
-// runThreat executes the graded threat-response drill: each requested
-// campaign family runs twice with the same seed, and the drill fails —
-// non-zero exit — unless the two runs produce identical level trajectories
-// and byte-identical incident records, and the result passes the family's
-// own self-assertions (burst reaches CRITICAL and recovers, ramp walks the
-// staircase and is ended by isolation, slowdrip stays at or below LOW). A
-// multi-seed sweep then reports packets-to-escalation percentiles.
+// runThreat executes the graded threat-response drill over the campaign
+// drill families: burst reaches CRITICAL and recovers, ramp walks the
+// staircase and is ended by isolation, drip stays at or below LOW. Each
+// family prints its level trajectory and a packets-to-escalation table
+// over seeds 1..threatSweepSeeds; incidentsPath, when set, receives every
+// captured incident record.
 func runThreat(scenario string, seed int64, incidentsPath string) error {
-	families := threat.Families()
-	if scenario != "all" {
-		if _, _, err := familyKnown(scenario); err != nil {
-			return err
-		}
-		families = []string{scenario}
-	}
-
-	var captured []threat.IncidentRecord
-	for _, family := range families {
-		fmt.Printf("threat campaign %q, seed %d:\n", family, seed)
-		cfg := threat.CampaignConfig{Family: family, Seed: seed}
-		a, err := threat.RunCampaign(cfg)
-		if err != nil {
-			return &scenarioError{Mode: "threat", Scenario: family, Err: err}
-		}
-		b, err := threat.RunCampaign(cfg)
-		if err != nil {
-			return &scenarioError{Mode: "threat", Scenario: family, Err: err}
-		}
-		if !reflect.DeepEqual(a.Trajectory, b.Trajectory) {
-			return &scenarioError{Mode: "threat", Scenario: family,
-				Err: fmt.Errorf("replay diverged: trajectories differ across identical runs")}
-		}
-		if !bytes.Equal(a.IncidentBytes, b.IncidentBytes) {
-			return &scenarioError{Mode: "threat", Scenario: family,
-				Err: fmt.Errorf("replay diverged: incident records not byte-identical (%d vs %d bytes)",
-					len(a.IncidentBytes), len(b.IncidentBytes))}
-		}
-		if err := a.Check(); err != nil {
-			return &scenarioError{Mode: "threat", Scenario: family, Err: err}
-		}
-
+	results, err := runFamilies("threat", scenario, campaign.DrillFamilies(), seed, func(a *campaign.Result) error {
 		for _, tr := range a.Trajectory {
 			arrow := "escalate"
 			if tr.To < tr.From {
@@ -68,49 +34,29 @@ func runThreat(scenario string, seed int64, incidentsPath string) error {
 			}
 			fmt.Println()
 		}
-		st := a.Stats
-		fmt.Printf("  peak=%s final=%s incidents=%d replay=byte-identical (%d bytes)\n",
-			a.Peak, a.Final, len(a.Incidents), len(a.IncidentBytes))
-		fmt.Printf("  conservation: arrived=%d = processed=%d + taildrops=%d + starved=%d + backlog=%d (marked=%d alarms=%d faults=%d)\n",
-			st.Arrived, st.Processed, st.TailDrops, st.Starved, st.Backlog,
-			st.Marked, st.Alarms, st.Faults)
-		if a.IsolatedCores > 0 || a.FailedShards > 0 || a.LockdownFired || a.StagedZeroized {
-			fmt.Printf("  responses: isolated_cores=%d failed_shards=%d lockdown=%v staged_zeroized=%v\n",
-				a.IsolatedCores, a.FailedShards, a.LockdownFired, a.StagedZeroized)
-		}
+		return sweepEscalation(a.Family)
+	})
+	if err != nil || incidentsPath == "" {
+		return err
+	}
+
+	var captured []threat.IncidentRecord
+	for _, a := range results {
 		captured = append(captured, a.Incidents...)
-
-		if err := sweepEscalation(family); err != nil {
-			return &scenarioError{Mode: "threat", Scenario: family, Err: err}
-		}
-		fmt.Println()
 	}
-
-	if incidentsPath != "" {
-		f, err := os.Create(incidentsPath)
-		if err != nil {
-			return err
-		}
-		err = threat.WriteIncidents(f, captured)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing incidents to %s: %w", incidentsPath, err)
-		}
-		fmt.Printf("wrote %d incident records to %s\n", len(captured), incidentsPath)
+	f, err := os.Create(incidentsPath)
+	if err != nil {
+		return err
 	}
+	err = threat.WriteIncidents(f, captured)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("writing incidents to %s: %w", incidentsPath, err)
+	}
+	fmt.Printf("wrote %d incident records to %s\n", len(captured), incidentsPath)
 	return nil
-}
-
-// familyKnown validates a family name against the canonical list.
-func familyKnown(name string) (string, int, error) {
-	for i, f := range threat.Families() {
-		if f == name {
-			return f, i, nil
-		}
-	}
-	return "", 0, fmt.Errorf("npsim: unknown threat campaign %q (want %v or all)", name, threat.Families())
 }
 
 // sweepEscalation runs the family across seeds and reports the
@@ -119,7 +65,7 @@ func familyKnown(name string) (string, int, error) {
 func sweepEscalation(family string) error {
 	reached := map[threat.Level][]int64{}
 	for seed := int64(1); seed <= threatSweepSeeds; seed++ {
-		res, err := threat.RunCampaign(threat.CampaignConfig{Family: family, Seed: seed})
+		res, err := campaign.RunCampaign(campaign.Config{Family: family, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -139,16 +85,16 @@ func sweepEscalation(family string) error {
 			fmt.Printf("    %-8s never reached\n", l)
 			continue
 		}
+		p50, p99 := percentiles(samplesAt)
 		fmt.Printf("    %-8s reached %2d/%d  p50=%d p99=%d\n",
-			l, len(samplesAt), threatSweepSeeds, quantile(samplesAt, 0.50), quantile(samplesAt, 0.99))
+			l, len(samplesAt), threatSweepSeeds, p50, p99)
 	}
 	return nil
 }
 
-// quantile returns the q-th order statistic (nearest-rank) of xs.
-func quantile(xs []int64, q float64) int64 {
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
+// percentiles returns the nearest-rank p50 and p99 of xs.
+func percentiles(xs []int64) (p50, p99 int64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return campaign.NearestRank(s, 0.50), campaign.NearestRank(s, 0.99)
 }

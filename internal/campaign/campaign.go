@@ -7,13 +7,15 @@
 // distributions per family, and evasion depth for the mutants that slip
 // through.
 //
-// Where the threat package's drills poison installed instructions, every
-// campaign here attacks through the front door: real crafted packets
-// (stack-smash overflows carrying mutated payloads) processed by real
-// monitored cores, traffic bursts aimed at the admission/ECN path, and
-// collision probes against the live Merkle hash parameter. A campaign is a
-// pure function of its Spec: the same seed reproduces the same mutation
-// sequence, detection trajectory, and incident bytes.
+// The five adversarial families attack through the front door: real
+// crafted packets (stack-smash overflows carrying mutated payloads)
+// processed by real monitored cores, traffic bursts aimed at the
+// admission/ECN path, and collision probes against the live Merkle hash
+// parameter. The three graded-response drills (burst, ramp, drip) instead
+// poison installed entry instructions on a fixed duty schedule, grading
+// the threat engine's responses (drill.go). All eight run on one chassis,
+// and a campaign is a pure function of its Spec: the same seed reproduces
+// the same mutation sequence, detection trajectory, and incident bytes.
 package campaign
 
 import (
@@ -55,10 +57,29 @@ const (
 	FamilyPoison = "poison"
 )
 
-// Families lists the campaign families in canonical order.
-func Families() []string {
-	return []string{FamilyGadget, FamilyCollision, FamilySlowDrip, FamilyNoC, FamilyPoison}
-}
+// Graded-response drill families (drill.go): entry-instruction poison on a
+// fixed duty schedule, each pinning one qualitative threat trajectory.
+const (
+	// FamilyBurst attacks every core of one shard at full duty with an
+	// arrival surge: NONE jumps straight to CRITICAL, the full response
+	// battery fires, and the plane recovers after the burst.
+	FamilyBurst = "burst"
+	// FamilyRamp climbs one core's duty 1/8 → 1/4 → 1/2 → 1, walking the
+	// classifier up LOW → MEDIUM → HIGH, where isolating the core ends the
+	// attack.
+	FamilyRamp = "ramp"
+	// FamilyDrip attacks from the first tick at a duty just under the EWMA
+	// baseline's sensitivity: the classifier must stay at or below LOW and
+	// capture no incidents (the evasion regression).
+	FamilyDrip = "drip"
+)
+
+// Families lists the adversarial campaign families in canonical order.
+func Families() []string { return familyNames(familyTable[:numAdversarial]) }
+
+// DrillFamilies lists the graded-response drill families in canonical
+// order.
+func DrillFamilies() []string { return familyNames(familyTable[numAdversarial:]) }
 
 // Config parameterizes a campaign; zero fields select family defaults.
 // ResolveSpec turns a Config into the canonical wire Spec.
@@ -97,10 +118,9 @@ type Config struct {
 	FreezeAt threat.Level
 }
 
-// Campaign model tuning, mirroring the threat package's synchronous drill:
-// per-shard ingress queue and service rates in packets per tick. Service
-// exceeds the nominal arrival rate, so backpressure appears only under a
-// genuine surge.
+// Campaign model tuning: per-shard ingress queue and service rates in
+// packets per tick. Service exceeds the nominal arrival rate, so
+// backpressure appears only under a genuine surge.
 const (
 	queueCap  = 64
 	markAt    = 32
@@ -111,9 +131,14 @@ const (
 	Warmup = 12
 )
 
-// paramSalt derives the campaign's hidden hash parameter from the seed,
-// distinct from the threat (0x7417) and bench (0x600D) streams.
-const paramSalt = 0xCAFE
+// Salts deriving a campaign's hidden hash parameter from its seed:
+// paramSalt for the adversarial families, the live drill and the tenant
+// drill; drillSalt for the graded-response drills. Both are distinct from
+// the bench (0x600D) stream.
+const (
+	paramSalt = 0xCAFE
+	drillSalt = 0x7417
+)
 
 // Stats is the campaign model's packet accounting. Conservation:
 // Arrived == Processed + TailDrops + Starved + Backlog.
@@ -237,6 +262,13 @@ type driver interface {
 	afterTick(c *campaign, t int, lvl threat.Level) error
 	// finish fills family metrics into c.res after the last tick.
 	finish(c *campaign)
+}
+
+// healer is the one optional driver hook: a driver implementing it is
+// called after a core's attack packets and before its clean packets each
+// tick, to undo what its attack did to the core.
+type healer interface {
+	heal(c *campaign, shard, core int) error
 }
 
 // campaign is the run state; it implements threat.Responder so the
@@ -419,7 +451,11 @@ func RunSpec(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	param := uint32(spec.Seed)*2654435761 + paramSalt
+	fam, err := lookupFamily(spec.Family)
+	if err != nil {
+		return nil, err
+	}
+	param := uint32(spec.Seed)*2654435761 + fam.salt
 	mk, err := hasherMaker(spec.Compression)
 	if err != nil {
 		return nil, err
@@ -481,7 +517,7 @@ func RunSpec(spec Spec) (*Result, error) {
 	c.alarms = make([]uint64, n)
 	c.faults = make([]uint64, n)
 
-	if c.drv, err = newDriver(c); err != nil {
+	if c.drv, err = fam.newDriver(c); err != nil {
 		return nil, err
 	}
 
@@ -559,22 +595,11 @@ func (r *Result) Check() error {
 	if !r.Stats.Conserved() {
 		return fmt.Errorf("campaign: %s packet conservation violated: %+v", r.Family, r.Stats)
 	}
-	if r.Spec.FreezeAt != 0 {
-		return nil
+	fam, err := lookupFamily(r.Family)
+	if err != nil || r.Spec.FreezeAt != 0 {
+		return err
 	}
-	switch r.Family {
-	case FamilyGadget:
-		return checkGadget(r)
-	case FamilyCollision:
-		return checkCollision(r)
-	case FamilySlowDrip:
-		return checkSlowDrip(r)
-	case FamilyNoC:
-		return checkNoC(r)
-	case FamilyPoison:
-		return checkPoison(r)
-	}
-	return fmt.Errorf("campaign: unknown family %q", r.Family)
+	return fam.check(r)
 }
 
 func (c *campaign) totalArrived() uint64 {
@@ -725,6 +750,11 @@ func (c *campaign) tick(t int) ([]threat.Sample, error) {
 						return nil, err
 					}
 				}
+				if h, ok := c.drv.(healer); ok && sent > 0 {
+					if err := h.heal(c, s, core); err != nil {
+						return nil, err
+					}
+				}
 				for i := sent; i < q; i++ {
 					res, err := c.nps[s].ProcessOn(core, c.gen.Next(), c.depth[s])
 					if err != nil {
@@ -782,18 +812,54 @@ func hasherMaker(compression string) (func(uint32) mhash.Hasher, error) {
 	return nil, fmt.Errorf("campaign: unknown compression %q (want sum or sbox)", compression)
 }
 
-func newDriver(c *campaign) (driver, error) {
-	switch c.spec.Family {
-	case FamilyGadget:
-		return newGadgetDriver(c)
-	case FamilyCollision:
-		return newCollisionDriver(c)
-	case FamilySlowDrip:
-		return newSlowDripDriver(c)
-	case FamilyNoC:
-		return newNoCDriver(c)
-	case FamilyPoison:
-		return newPoisonDriver(c)
+// family is one row of the family table: everything the chassis needs to
+// resolve, run and check a family.
+type family struct {
+	name      string
+	newDriver func(*campaign) (driver, error)
+	// ticks is the default campaign length for a spec whose other
+	// defaults are already applied.
+	ticks func(Spec) int
+	// mutants and probes are the default mutation pool and collision
+	// search budget; 0 leaves the spec field unset. A family with a probe
+	// default refuses an unbounded search.
+	mutants, probes int
+	compression     string
+	salt            uint32
+	check           func(*Result) error
+}
+
+func fixedTicks(n int) func(Spec) int { return func(Spec) int { return n } }
+
+// familyTable holds every family: the numAdversarial adversarial families
+// first, then the graded-response drills, each group in canonical order.
+var familyTable = []family{
+	{FamilyGadget, newGadgetDriver, fixedTicks(48), 24, 0, "sbox", paramSalt, checkGadget},
+	{FamilyCollision, newCollisionDriver, fixedTicks(96), 0, 192, "sbox", paramSalt, checkCollision},
+	{FamilySlowDrip, newSlowDripDriver, fixedTicks(80), 0, 0, "sbox", paramSalt, checkSlowDrip},
+	{FamilyNoC, newNoCDriver, nocTicks, 8, 0, "sbox", paramSalt, checkNoC},
+	{FamilyPoison, newPoisonDriver, fixedTicks(64), 0, 0, "sbox", paramSalt, checkPoison},
+	{FamilyBurst, newBurstDriver, fixedTicks(36), 0, 0, "sum", drillSalt, checkBurst},
+	{FamilyRamp, newRampDriver, fixedTicks(48), 0, 0, "sum", drillSalt, checkRamp},
+	{FamilyDrip, newDripDriver, fixedTicks(40), 0, 0, "sum", drillSalt, checkDrip},
+}
+
+const numAdversarial = 5
+
+func familyNames(rows []family) []string {
+	out := make([]string, len(rows))
+	for i, f := range rows {
+		out[i] = f.name
 	}
-	return nil, fmt.Errorf("campaign: unknown family %q", c.spec.Family)
+	return out
+}
+
+func lookupFamily(name string) (*family, error) {
+	for i := range familyTable {
+		if familyTable[i].name == name {
+			return &familyTable[i], nil
+		}
+	}
+	return nil, fmt.Errorf("campaign: unknown family %q (want one of %v or %v)",
+		name, Families(), DrillFamilies())
 }

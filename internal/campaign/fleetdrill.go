@@ -140,8 +140,8 @@ func CollisionFleetDrill(cfg FleetDrillConfig) (*FleetDrillResult, error) {
 	}
 	if len(probes) > 0 {
 		sort.Ints(probes)
-		res.SearchP50 = int(nearestRank(toInt64(probes), 0.50))
-		res.SearchP99 = int(nearestRank(toInt64(probes), 0.99))
+		res.SearchP50 = int(NearestRank(toInt64(probes), 0.50))
+		res.SearchP99 = int(NearestRank(toInt64(probes), 0.99))
 	}
 	return res, nil
 }

@@ -58,13 +58,15 @@ func MeasureDetection(family string, runs int, baseSeed int64) (DetectionDistrib
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	d.Min = latencies[0]
 	d.Max = latencies[len(latencies)-1]
-	d.P50 = nearestRank(latencies, 0.50)
-	d.P99 = nearestRank(latencies, 0.99)
+	d.P50 = NearestRank(latencies, 0.50)
+	d.P99 = NearestRank(latencies, 0.99)
 	return d, nil
 }
 
-// nearestRank returns the nearest-rank quantile of a sorted slice.
-func nearestRank(sorted []int64, q float64) int64 {
+// NearestRank returns the nearest-rank q-quantile of an ascending slice:
+// the smallest value with at least q of the samples at or below it (-1 for
+// an empty slice).
+func NearestRank(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {
 		return -1
 	}

@@ -38,6 +38,13 @@ const (
 	nocTail       = 14
 )
 
+// nocTicks is the family's default length: warmup, one slot per burst of
+// the spec's mutant pool (the first half evade), then the quiet tail.
+func nocTicks(s Spec) int {
+	evades := (s.Mutants + 1) / 2
+	return Warmup + nocEvadeSlot*evades + nocDetectSlot*(s.Mutants-evades) + nocTail
+}
+
 type nocDriver struct {
 	bursts   []nocBurst
 	outcomes []MutantOutcome

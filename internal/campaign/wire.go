@@ -80,56 +80,29 @@ func ResolveSpec(cfg Config) (Spec, error) {
 	if s.PacketsPerTick == 0 {
 		s.PacketsPerTick = 30 * s.Shards
 	}
-	if s.Compression == "" {
-		s.Compression = "sbox"
+	fam, err := lookupFamily(s.Family)
+	if err != nil {
+		return Spec{}, err
 	}
-	switch s.Family {
-	case FamilyGadget:
-		if s.Mutants == 0 {
-			s.Mutants = 24
-		}
-		if s.Ticks == 0 {
-			s.Ticks = 48
-		}
-	case FamilyCollision:
-		if s.ProbeBudget == 0 && s.CycleBudget == 0 {
-			s.ProbeBudget = 192
-		}
-		if s.Ticks == 0 {
-			s.Ticks = 96
-		}
-	case FamilySlowDrip:
-		if s.Ticks == 0 {
-			s.Ticks = 80
-		}
-	case FamilyNoC:
-		if s.Mutants == 0 {
-			s.Mutants = 8
-		}
-		if s.Ticks == 0 {
-			e := (s.Mutants + 1) / 2
-			d := s.Mutants / 2
-			s.Ticks = Warmup + 8*e + 14*d + 14
-		}
-	case FamilyPoison:
-		if s.Ticks == 0 {
-			s.Ticks = 64
-		}
-	default:
-		return Spec{}, fmt.Errorf("campaign: unknown family %q (want one of %v)", s.Family, Families())
+	if s.Compression == "" {
+		s.Compression = fam.compression
+	}
+	if s.Mutants == 0 {
+		s.Mutants = fam.mutants
+	}
+	if s.ProbeBudget == 0 && s.CycleBudget == 0 {
+		s.ProbeBudget = fam.probes
+	}
+	if s.Ticks == 0 {
+		s.Ticks = fam.ticks(s)
 	}
 	return s, s.validate()
 }
 
 func (s Spec) validate() error {
-	known := false
-	for _, f := range Families() {
-		if s.Family == f {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("campaign: unknown family %q", s.Family)
+	fam, err := lookupFamily(s.Family)
+	if err != nil {
+		return err
 	}
 	if s.Shards < 1 || s.Shards > 1<<16-1 || s.Cores < 2 || s.Cores > 1<<16-1 {
 		return fmt.Errorf("campaign: need 1..65535 shards and 2..65535 cores, got %d/%d", s.Shards, s.Cores)
@@ -140,8 +113,8 @@ func (s Spec) validate() error {
 	if s.Compression != "sum" && s.Compression != "sbox" {
 		return fmt.Errorf("campaign: unknown compression %q", s.Compression)
 	}
-	if s.Family == FamilyCollision && s.ProbeBudget <= 0 && s.CycleBudget == 0 {
-		return fmt.Errorf("campaign: collision family refuses an unbounded search budget")
+	if fam.probes > 0 && s.ProbeBudget <= 0 && s.CycleBudget == 0 {
+		return fmt.Errorf("campaign: %s family refuses an unbounded search budget", s.Family)
 	}
 	if s.Mutants < 0 || s.ProbeBudget < 0 || s.DutyMilli < 0 {
 		return fmt.Errorf("campaign: negative spec field: %+v", s)

@@ -6,6 +6,7 @@ import (
 
 	"sdmmon/internal/apps"
 	"sdmmon/internal/core"
+	"sdmmon/internal/npu"
 	"sdmmon/internal/obs"
 	"sdmmon/internal/packet"
 	"sdmmon/internal/timing"
@@ -32,17 +33,6 @@ var (
 	ErrHealthRegression = errors.New("network: health regression after upgrade")
 )
 
-// UpgradeGate parameterizes the post-commit health check.
-type UpgradeGate struct {
-	// HealthPackets is how many packets to run through a router for one
-	// health sample (baseline and post-commit). Default 128.
-	HealthPackets int
-	// RateBudget is the tolerated increase of the per-packet event rate
-	// (alarms+faults over processed) above the pre-upgrade baseline before
-	// the gate declares a regression. Default 0.02.
-	RateBudget float64
-}
-
 // RolloutConfig shapes a staged fleet upgrade.
 type RolloutConfig struct {
 	// Canaries is the size of the first wave (default 1). The canary wave
@@ -51,7 +41,7 @@ type RolloutConfig struct {
 	Canaries int
 	// WaveSize bounds the later waves (default: half the fleet, min 1).
 	WaveSize int
-	Gate     UpgradeGate
+	Gate     npu.HealthGate
 	Policy   RetryPolicy
 	// Link carries the packages; required.
 	Link *LossyLink
@@ -70,12 +60,7 @@ func (c RolloutConfig) withDefaults(fleet int) RolloutConfig {
 			c.WaveSize = 1
 		}
 	}
-	if c.Gate.HealthPackets <= 0 {
-		c.Gate.HealthPackets = 128
-	}
-	if c.Gate.RateBudget <= 0 {
-		c.Gate.RateBudget = 0.02
-	}
+	c.Gate = c.Gate.WithDefaults()
 	if c.Policy.MaxAttempts < 1 {
 		c.Policy = DefaultRetryPolicy()
 	}
@@ -117,23 +102,6 @@ func (p UpgradePhase) String() string {
 	return fmt.Sprintf("phase(%d)", int(p))
 }
 
-// HealthSample is one traffic measurement on one router.
-type HealthSample struct {
-	Processed uint64
-	// Events counts alarms plus architectural faults (watchdog trips are a
-	// subset of faults).
-	Events      uint64
-	Quarantines uint64
-}
-
-// Rate is events per processed packet (0 for an empty sample).
-func (h HealthSample) Rate() float64 {
-	if h.Processed == 0 {
-		return 0
-	}
-	return float64(h.Events) / float64(h.Processed)
-}
-
 // RouterOutcome is one router's rollout record.
 type RouterOutcome struct {
 	DeviceID string
@@ -141,9 +109,9 @@ type RouterOutcome struct {
 	// Wave is the wave index the router was upgraded in (0 = canary wave,
 	// -1 = never attempted).
 	Wave     int
-	Delivery *DeliveryReport // nil when never attempted
-	Baseline HealthSample    // pre-upgrade traffic sample
-	After    HealthSample    // post-commit traffic sample (zero if not reached)
+	Delivery *DeliveryReport  // nil when never attempted
+	Baseline npu.HealthSample // pre-upgrade traffic sample
+	After    npu.HealthSample // post-commit traffic sample (zero if not reached)
 	Err      error
 }
 
@@ -195,7 +163,7 @@ func (r *RolloutReport) committed() []int {
 
 // sampleHealth runs n packets of deterministic traffic through a device and
 // returns the sample plus the raw stat deltas for fleet accounting.
-func sampleHealth(dev *core.Device, gen *packet.Generator, n int) (HealthSample, [3]uint64, error) {
+func sampleHealth(dev *core.Device, gen *packet.Generator, n int) (npu.HealthSample, [3]uint64, error) {
 	pkts := make([][]byte, n)
 	for i := range pkts {
 		pkts[i] = gen.Next()
@@ -203,7 +171,7 @@ func sampleHealth(dev *core.Device, gen *packet.Generator, n int) (HealthSample,
 	before := dev.Stats()
 	_, err := dev.NP().ProcessBatch(pkts, 0)
 	after := dev.Stats()
-	h := HealthSample{
+	h := npu.HealthSample{
 		Processed:   after.Processed - before.Processed,
 		Events:      (after.Alarms - before.Alarms) + (after.Faults - before.Faults),
 		Quarantines: after.Quarantines - before.Quarantines,
@@ -214,16 +182,6 @@ func sampleHealth(dev *core.Device, gen *packet.Generator, n int) (HealthSample,
 		after.Alarms - before.Alarms,
 	}
 	return h, deltas, err
-}
-
-// regressed applies the gate: a router regresses when its post-commit event
-// rate exceeds baseline plus budget, or the supervisor quarantined a core on
-// the new version.
-func (g UpgradeGate) regressed(base, after HealthSample) bool {
-	if after.Quarantines > 0 {
-		return true
-	}
-	return after.Rate() > base.Rate()+g.RateBudget
 }
 
 // UpgradeFleet performs a staged, canaried, health-gated upgrade of the fleet
@@ -307,7 +265,7 @@ func UpgradeFleet(op *core.Operator, devices []*core.Device, app *apps.App, cfg 
 		publishRollout(rep, cfg.Link.Obs)
 		return rep, err
 	}
-	account := func(d [3]uint64, h HealthSample) {
+	account := func(d [3]uint64, h npu.HealthSample) {
 		rep.Processed += h.Processed
 		rep.Forwarded += d[0]
 		rep.Dropped += d[1]
@@ -397,7 +355,7 @@ func UpgradeFleet(op *core.Operator, devices []*core.Device, app *apps.App, cfg 
 			after, d, err := sampleHealth(dev, gen, cfg.Gate.HealthPackets)
 			account(d, after)
 			out.After = after
-			regressed := cfg.Gate.regressed(out.Baseline, after)
+			regressed := cfg.Gate.Regressed(out.Baseline, after)
 			if err != nil {
 				// The new version took the whole NP down (all cores
 				// quarantined) — the strongest possible regression.

@@ -25,56 +25,13 @@ import (
 // it had committed.
 var ErrHealthRegression = errors.New("tenant: health regression; domain rolled back")
 
-// Gate parameterizes the per-NP health check of a tenant rollout.
-type Gate struct {
-	// HealthPackets per sample (baseline and post-commit). Default 128.
-	HealthPackets int
-	// RateBudget is the tolerated event-rate increase (alarms+faults per
-	// processed packet) over the baseline. Default 0.02.
-	RateBudget float64
-}
-
-func (g Gate) withDefaults() Gate {
-	if g.HealthPackets <= 0 {
-		g.HealthPackets = 128
-	}
-	if g.RateBudget <= 0 {
-		g.RateBudget = 0.02
-	}
-	return g
-}
-
-// HealthSample is one traffic measurement on one NP's tenant domain.
-type HealthSample struct {
-	Processed   uint64
-	Events      uint64 // alarms + faults
-	Quarantines uint64
-}
-
-// Rate is events per processed packet (0 for an empty sample).
-func (h HealthSample) Rate() float64 {
-	if h.Processed == 0 {
-		return 0
-	}
-	return float64(h.Events) / float64(h.Processed)
-}
-
-// regressed applies the gate: post-commit event rate above baseline plus
-// budget, or any quarantine on the new version.
-func (g Gate) regressed(base, after HealthSample) bool {
-	if after.Quarantines > 0 {
-		return true
-	}
-	return after.Rate() > base.Rate()+g.RateBudget
-}
-
 // NPOutcome records one NP's part in a tenant rollout.
 type NPOutcome struct {
 	NP         int
 	Committed  bool
 	RolledBack bool
-	Baseline   HealthSample
-	After      HealthSample
+	Baseline   npu.HealthSample
+	After      npu.HealthSample
 	Err        error
 }
 
@@ -95,21 +52,21 @@ type Report struct {
 // and measures the domain's own outcome. The batch-local delta (DrainBatch
 // reports exactly this batch's counters) plus the domain quarantine delta
 // make the sample immune to concurrent traffic on other tenants' cores.
-func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (HealthSample, error) {
+func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (npu.HealthSample, error) {
 	pkts := make([][]byte, n)
 	for i := range pkts {
 		pkts[i] = gen.Next()
 	}
 	before, err := np.StatsDomain(domain)
 	if err != nil {
-		return HealthSample{}, err
+		return npu.HealthSample{}, err
 	}
 	out, derr := np.DrainBatchDomain(domain, pkts, 0)
 	after, err := np.StatsDomain(domain)
 	if err != nil {
-		return HealthSample{}, err
+		return npu.HealthSample{}, err
 	}
-	h := HealthSample{
+	h := npu.HealthSample{
 		Processed:   out.Processed,
 		Events:      out.Alarms + out.Faults,
 		Quarantines: after.Quarantines - before.Quarantines,
@@ -125,12 +82,12 @@ func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (Heal
 // staged) and returns ErrHealthRegression; no other tenant's slots are
 // touched at any point, in success or failure. On success the tenant's
 // anti-downgrade ledger advances to the bundle's sequence.
-func (m *Manager) Rollout(tenant string, b AppBundle, gate Gate, seed int64) (*Report, error) {
+func (m *Manager) Rollout(tenant string, b AppBundle, gate npu.HealthGate, seed int64) (*Report, error) {
 	ts, err := m.state(tenant)
 	if err != nil {
 		return nil, err
 	}
-	gate = gate.withDefaults()
+	gate = gate.WithDefaults()
 	rep := &Report{
 		Tenant:   tenant,
 		Target:   b.target(),
@@ -212,7 +169,7 @@ func (m *Manager) Rollout(tenant string, b AppBundle, gate Gate, seed int64) (*R
 		gen = packet.NewGenerator(seed ^ int64(i)<<8 ^ 0x5a5a)
 		after, err := sampleDomain(np, tenant, gen, gate.HealthPackets)
 		out.After = after
-		regressed := gate.regressed(base, after)
+		regressed := gate.Regressed(base, after)
 		if err != nil {
 			// The new version took the whole domain down — the strongest
 			// possible regression.

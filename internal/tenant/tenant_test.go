@@ -161,7 +161,7 @@ func TestRolloutCleanUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}, Gate{}, 42)
+	rep, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}, npu.HealthGate{}, 42)
 	if err != nil {
 		t.Fatalf("clean rollout: %v (reason %q)", err, rep.Reason)
 	}
@@ -188,7 +188,7 @@ func TestRolloutCleanUpgrade(t *testing.T) {
 
 	// The completed sequence is now the floor: replaying it is refused
 	// before anything stages.
-	if _, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1", Sequence: 2}, Gate{}, 43); !errors.Is(err, seccrypto.ErrDowngrade) {
+	if _, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1", Sequence: 2}, npu.HealthGate{}, 43); !errors.Is(err, seccrypto.ErrDowngrade) {
 		t.Fatalf("replayed rollout sequence: err = %v, want ErrDowngrade", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 	}
 
 	bad := AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}
-	rep, err := mgr.Rollout("a", bad, Gate{HealthPackets: 32}, 99)
+	rep, err := mgr.Rollout("a", bad, npu.HealthGate{HealthPackets: 32}, 99)
 	if !errors.Is(err, ErrHealthRegression) {
 		t.Fatalf("faulty rollout: err = %v, want ErrHealthRegression", err)
 	}
@@ -275,7 +275,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 	if hw, _ := mgr.HighWater("a", "udpecho"); hw != 1 {
 		t.Fatalf("rolled-back rollout advanced the ledger to %d", hw)
 	}
-	rep, err = mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1-fixed", Sequence: 2}, Gate{}, 100)
+	rep, err = mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1-fixed", Sequence: 2}, npu.HealthGate{}, 100)
 	if err != nil || !rep.Completed {
 		t.Fatalf("retry with fixed release: err=%v report %+v", err, rep)
 	}
@@ -297,7 +297,7 @@ func TestRolloutQuarantineGate(t *testing.T) {
 	if err := mgr.Install("b", AppBundle{App: apps.IPv4CM(), Param: 0xB1, Sequence: 1}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mgr.Rollout("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Sequence: 2}, Gate{HealthPackets: 32}, 7)
+	rep, err := mgr.Rollout("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Sequence: 2}, npu.HealthGate{HealthPackets: 32}, 7)
 	if !errors.Is(err, ErrHealthRegression) {
 		t.Fatalf("err = %v, want ErrHealthRegression", err)
 	}
