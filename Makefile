@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-dpbench bench bench-ingress bench-tenant fuzz experiments examples verilog clean
+.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-fastpath test-dpbench bench bench-ingress bench-tenant fuzz experiments examples verilog clean
 
 all: check
 
@@ -12,8 +12,9 @@ all: check
 # fault-injection suite, the live-upgrade suite, the sharded traffic
 # plane, the graded threat-response engine, the adversarial campaign
 # corpus, the multi-tenant protection domains, and the data-plane
-# benchmark module.
-check: build vet fmt-check test test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-dpbench
+# benchmark module, and the monitor fast path's differential and layout
+# tests.
+check: build vet fmt-check test test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-fastpath test-dpbench
 
 build:
 	$(GO) build ./...
@@ -104,6 +105,16 @@ test-tenant:
 	$(GO) test -race ./internal/tenant/...
 	$(GO) test -race -run 'Tenant|Domain|Instance' -count=1 ./internal/npu/... ./internal/shard/... ./internal/campaign/...
 	$(GO) run ./cmd/npsim -tenant > /dev/null
+
+# The exact-semantics fast path under the race detector: the lazy-DFA
+# monitor against the map-based reference (every built-in app, the E8
+# attacks, forced state caps, the FuzzProcessPacket seeds, every campaign
+# family), the per-core block layout, the allocation-free drain path,
+# HashCacheStats concurrent with a draining NP, and a re-key's cutover
+# latency while every CPU drains.
+test-fastpath:
+	$(GO) test -race -count=1 -run 'Differential|CoreBlockLayout|DrainBatchAllocs|HashCacheStatsRace|CommitUnderSaturatedDrain' \
+		./internal/monitor/ ./internal/npu/ ./internal/campaign/
 
 # The data-plane benchmark is a nested module, so the root ./... never
 # compiles it; vet and test it here so an npu, shard or tenant API change

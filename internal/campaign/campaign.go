@@ -436,6 +436,10 @@ func RunCampaign(cfg Config) (*Result, error) {
 	return RunSpec(spec)
 }
 
+// newNP builds each shard's NP. The monitor differential test swaps it
+// to run a family's campaign on the reference monitor path as well.
+var newNP = npu.New
+
 // RunSpec executes a campaign from its canonical resolved spec — the entry
 // point replays use after decoding wire bytes.
 func RunSpec(spec Spec) (*Result, error) {
@@ -486,7 +490,7 @@ func RunSpec(spec Spec) (*Result, error) {
 		// No per-core supervisor: the threat engine is the only quarantine
 		// authority, so the trajectory measures its response alone.
 		col := obs.New(256)
-		np, err := npu.New(npu.Config{
+		np, err := newNP(npu.Config{
 			Cores: spec.Cores, MonitorsEnabled: true, Obs: col, NewHasher: mk,
 		})
 		if err != nil {

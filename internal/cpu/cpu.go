@@ -74,21 +74,30 @@ type SyscallFunc func(c *CPU) bool
 
 // CPU is one PLASMA-like core.
 type CPU struct {
-	Regs   [32]uint32
-	PC     uint32
-	Hi, Lo uint32
-	Mem    *Memory
-
-	// Cycles counts consumed clock cycles using the cost table below.
-	Cycles uint64
-	// Retired counts retired instructions.
-	Retired uint64
+	// State is written on every retired instruction. New allocates it; a
+	// multicore owner may move it onto cache lines of its own (copy the
+	// value, repoint the pointer) so cores running in parallel never
+	// share a line.
+	*State
+	Mem *Memory
 
 	// Trace, if non-nil, observes every retired instruction (the monitor
 	// port).
 	Trace TraceFunc
 	// Syscall, if non-nil, services syscall instructions.
 	Syscall SyscallFunc
+}
+
+// State is a core's architectural state and counters.
+type State struct {
+	Regs   [32]uint32
+	PC     uint32
+	Hi, Lo uint32
+
+	// Cycles counts consumed clock cycles using the cost table below.
+	Cycles uint64
+	// Retired counts retired instructions.
+	Retired uint64
 
 	halted bool
 }
@@ -103,8 +112,7 @@ const (
 
 // New creates a core attached to mem, with PC at entry.
 func New(mem *Memory, entry uint32) *CPU {
-	c := &CPU{Mem: mem, PC: entry}
-	return c
+	return &CPU{State: &State{PC: entry}, Mem: mem}
 }
 
 // Reset performs the hardware reset the monitor triggers on an alarm: all
@@ -123,22 +131,26 @@ func (c *CPU) Halted() bool { return c.halted }
 // Run executes instructions until break, an exception, or the cycle budget
 // is exhausted. It returns the number of cycles consumed by this call.
 func (c *CPU) Run(maxCycles uint64) (uint64, *Exception) {
-	start := c.Cycles
-	for !c.halted {
-		if c.Cycles-start >= maxCycles {
-			return c.Cycles - start, &Exception{Kind: ExcCycleLimit, PC: c.PC}
+	s := c.State
+	start := s.Cycles
+	for !s.halted {
+		if s.Cycles-start >= maxCycles {
+			return s.Cycles - start, &Exception{Kind: ExcCycleLimit, PC: s.PC}
 		}
 		if exc := c.Step(); exc != nil {
-			return c.Cycles - start, exc
+			return s.Cycles - start, exc
 		}
 	}
-	return c.Cycles - start, nil
+	return s.Cycles - start, nil
 }
 
 // Step executes one instruction. A nil return means the instruction retired
 // normally (or the core halted via break).
 func (c *CPU) Step() *Exception {
-	pc := c.PC
+	// Every register and counter access goes through one load of the
+	// State pointer.
+	s := c.State
+	pc := s.PC
 	raw, ok := c.Mem.Load32(pc)
 	if !ok {
 		return &Exception{Kind: ExcBusError, PC: pc, Addr: pc}
@@ -162,18 +174,18 @@ func (c *CPU) Step() *Exception {
 		return &Exception{Kind: ExcMonitorAlarm, PC: pc}
 	}
 
-	c.Cycles++
-	c.Retired++
+	s.Cycles++
+	s.Retired++
 	next := pc + 4
 
 	switch w.Op() {
 	case isa.OpSpecial:
-		exc := c.execSpecial(pc, w, &next)
+		exc := c.execSpecial(s, pc, w, &next)
 		if exc != nil {
 			return exc
 		}
 	case isa.OpRegImm:
-		rs := int32(c.Regs[w.Rs()])
+		rs := int32(s.Regs[w.Rs()])
 		taken := false
 		switch w.Rt() {
 		case isa.RtBLTZ:
@@ -182,10 +194,10 @@ func (c *CPU) Step() *Exception {
 			taken = rs >= 0
 		case isa.RtBLTZAL:
 			taken = rs < 0
-			c.Regs[isa.RegRA] = pc + 4
+			s.Regs[isa.RegRA] = pc + 4
 		case isa.RtBGEZAL:
 			taken = rs >= 0
-			c.Regs[isa.RegRA] = pc + 4
+			s.Regs[isa.RegRA] = pc + 4
 		}
 		if taken {
 			next = isa.BranchTarget(pc, w)
@@ -193,239 +205,239 @@ func (c *CPU) Step() *Exception {
 	case isa.OpJ:
 		next = isa.JumpTarget(pc, w)
 	case isa.OpJAL:
-		c.Regs[isa.RegRA] = pc + 4
+		s.Regs[isa.RegRA] = pc + 4
 		next = isa.JumpTarget(pc, w)
 	case isa.OpBEQ:
-		if c.Regs[w.Rs()] == c.Regs[w.Rt()] {
+		if s.Regs[w.Rs()] == s.Regs[w.Rt()] {
 			next = isa.BranchTarget(pc, w)
 		}
 	case isa.OpBNE:
-		if c.Regs[w.Rs()] != c.Regs[w.Rt()] {
+		if s.Regs[w.Rs()] != s.Regs[w.Rt()] {
 			next = isa.BranchTarget(pc, w)
 		}
 	case isa.OpBLEZ:
-		if int32(c.Regs[w.Rs()]) <= 0 {
+		if int32(s.Regs[w.Rs()]) <= 0 {
 			next = isa.BranchTarget(pc, w)
 		}
 	case isa.OpBGTZ:
-		if int32(c.Regs[w.Rs()]) > 0 {
+		if int32(s.Regs[w.Rs()]) > 0 {
 			next = isa.BranchTarget(pc, w)
 		}
 	case isa.OpADDI:
-		a, b := int32(c.Regs[w.Rs()]), w.SImm()
-		s := a + b
-		if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+		a, b := int32(s.Regs[w.Rs()]), w.SImm()
+		sum := a + b
+		if (a > 0 && b > 0 && sum < 0) || (a < 0 && b < 0 && sum >= 0) {
 			return &Exception{Kind: ExcOverflow, PC: pc}
 		}
-		c.setReg(w.Rt(), uint32(s))
+		s.setReg(w.Rt(), uint32(sum))
 	case isa.OpADDIU:
-		c.setReg(w.Rt(), c.Regs[w.Rs()]+uint32(w.SImm()))
+		s.setReg(w.Rt(), s.Regs[w.Rs()]+uint32(w.SImm()))
 	case isa.OpSLTI:
-		if int32(c.Regs[w.Rs()]) < w.SImm() {
-			c.setReg(w.Rt(), 1)
+		if int32(s.Regs[w.Rs()]) < w.SImm() {
+			s.setReg(w.Rt(), 1)
 		} else {
-			c.setReg(w.Rt(), 0)
+			s.setReg(w.Rt(), 0)
 		}
 	case isa.OpSLTIU:
-		if c.Regs[w.Rs()] < uint32(w.SImm()) {
-			c.setReg(w.Rt(), 1)
+		if s.Regs[w.Rs()] < uint32(w.SImm()) {
+			s.setReg(w.Rt(), 1)
 		} else {
-			c.setReg(w.Rt(), 0)
+			s.setReg(w.Rt(), 0)
 		}
 	case isa.OpANDI:
-		c.setReg(w.Rt(), c.Regs[w.Rs()]&uint32(w.Imm()))
+		s.setReg(w.Rt(), s.Regs[w.Rs()]&uint32(w.Imm()))
 	case isa.OpORI:
-		c.setReg(w.Rt(), c.Regs[w.Rs()]|uint32(w.Imm()))
+		s.setReg(w.Rt(), s.Regs[w.Rs()]|uint32(w.Imm()))
 	case isa.OpXORI:
-		c.setReg(w.Rt(), c.Regs[w.Rs()]^uint32(w.Imm()))
+		s.setReg(w.Rt(), s.Regs[w.Rs()]^uint32(w.Imm()))
 	case isa.OpLUI:
-		c.setReg(w.Rt(), uint32(w.Imm())<<16)
+		s.setReg(w.Rt(), uint32(w.Imm())<<16)
 	default:
-		if exc := c.execMem(pc, w); exc != nil {
+		if exc := c.execMem(s, pc, w); exc != nil {
 			return exc
 		}
 	}
 
-	c.PC = next
+	s.PC = next
 	return nil
 }
 
-func (c *CPU) setReg(r, v uint32) {
+func (s *State) setReg(r, v uint32) {
 	if r != isa.RegZero {
-		c.Regs[r] = v
+		s.Regs[r] = v
 	}
 }
 
-func (c *CPU) execSpecial(pc uint32, w isa.Word, next *uint32) *Exception {
-	rs, rt := c.Regs[w.Rs()], c.Regs[w.Rt()]
+func (c *CPU) execSpecial(s *State, pc uint32, w isa.Word, next *uint32) *Exception {
+	rs, rt := s.Regs[w.Rs()], s.Regs[w.Rt()]
 	switch w.Fn() {
 	case isa.FnSLL:
-		c.setReg(w.Rd(), rt<<w.Shamt())
+		s.setReg(w.Rd(), rt<<w.Shamt())
 	case isa.FnSRL:
-		c.setReg(w.Rd(), rt>>w.Shamt())
+		s.setReg(w.Rd(), rt>>w.Shamt())
 	case isa.FnSRA:
-		c.setReg(w.Rd(), uint32(int32(rt)>>w.Shamt()))
+		s.setReg(w.Rd(), uint32(int32(rt)>>w.Shamt()))
 	case isa.FnSLLV:
-		c.setReg(w.Rd(), rt<<(rs&31))
+		s.setReg(w.Rd(), rt<<(rs&31))
 	case isa.FnSRLV:
-		c.setReg(w.Rd(), rt>>(rs&31))
+		s.setReg(w.Rd(), rt>>(rs&31))
 	case isa.FnSRAV:
-		c.setReg(w.Rd(), uint32(int32(rt)>>(rs&31)))
+		s.setReg(w.Rd(), uint32(int32(rt)>>(rs&31)))
 	case isa.FnJR:
 		*next = rs
 	case isa.FnJALR:
-		c.setReg(w.Rd(), pc+4)
+		s.setReg(w.Rd(), pc+4)
 		*next = rs
 	case isa.FnSYSCALL:
 		if c.Syscall == nil {
 			return &Exception{Kind: ExcSyscall, PC: pc}
 		}
 		if !c.Syscall(c) {
-			c.halted = true
+			s.halted = true
 		}
 	case isa.FnBREAK:
-		c.halted = true
+		s.halted = true
 	case isa.FnMFHI:
-		c.setReg(w.Rd(), c.Hi)
+		s.setReg(w.Rd(), s.Hi)
 	case isa.FnMTHI:
-		c.Hi = rs
+		s.Hi = rs
 	case isa.FnMFLO:
-		c.setReg(w.Rd(), c.Lo)
+		s.setReg(w.Rd(), s.Lo)
 	case isa.FnMTLO:
-		c.Lo = rs
+		s.Lo = rs
 	case isa.FnMULT:
-		c.Cycles += extraCyclesMult
+		s.Cycles += extraCyclesMult
 		p := int64(int32(rs)) * int64(int32(rt))
-		c.Hi, c.Lo = uint32(uint64(p)>>32), uint32(uint64(p))
+		s.Hi, s.Lo = uint32(uint64(p)>>32), uint32(uint64(p))
 	case isa.FnMULTU:
-		c.Cycles += extraCyclesMult
+		s.Cycles += extraCyclesMult
 		p := uint64(rs) * uint64(rt)
-		c.Hi, c.Lo = uint32(p>>32), uint32(p)
+		s.Hi, s.Lo = uint32(p>>32), uint32(p)
 	case isa.FnDIV:
-		c.Cycles += extraCyclesDiv
+		s.Cycles += extraCyclesDiv
 		switch {
 		case rt == 0:
 			// MIPS leaves HI/LO unpredictable on divide-by-zero; keep them.
 		case int32(rs) == -1<<31 && int32(rt) == -1:
 			// Overflow corner: Go would panic on INT_MIN / -1. MIPS
 			// defines no trap; the hardware quotient wraps to INT_MIN.
-			c.Lo = rs
-			c.Hi = 0
+			s.Lo = rs
+			s.Hi = 0
 		default:
-			c.Lo = uint32(int32(rs) / int32(rt))
-			c.Hi = uint32(int32(rs) % int32(rt))
+			s.Lo = uint32(int32(rs) / int32(rt))
+			s.Hi = uint32(int32(rs) % int32(rt))
 		}
 	case isa.FnDIVU:
-		c.Cycles += extraCyclesDiv
+		s.Cycles += extraCyclesDiv
 		if rt != 0 {
-			c.Lo = rs / rt
-			c.Hi = rs % rt
+			s.Lo = rs / rt
+			s.Hi = rs % rt
 		}
 	case isa.FnADD:
 		a, b := int32(rs), int32(rt)
-		s := a + b
-		if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+		sum := a + b
+		if (a > 0 && b > 0 && sum < 0) || (a < 0 && b < 0 && sum >= 0) {
 			return &Exception{Kind: ExcOverflow, PC: pc}
 		}
-		c.setReg(w.Rd(), uint32(s))
+		s.setReg(w.Rd(), uint32(sum))
 	case isa.FnADDU:
-		c.setReg(w.Rd(), rs+rt)
+		s.setReg(w.Rd(), rs+rt)
 	case isa.FnSUB:
 		a, b := int32(rs), int32(rt)
-		s := a - b
-		if (a >= 0 && b < 0 && s < 0) || (a < 0 && b >= 0 && s >= 0) {
+		diff := a - b
+		if (a >= 0 && b < 0 && diff < 0) || (a < 0 && b >= 0 && diff >= 0) {
 			return &Exception{Kind: ExcOverflow, PC: pc}
 		}
-		c.setReg(w.Rd(), uint32(s))
+		s.setReg(w.Rd(), uint32(diff))
 	case isa.FnSUBU:
-		c.setReg(w.Rd(), rs-rt)
+		s.setReg(w.Rd(), rs-rt)
 	case isa.FnAND:
-		c.setReg(w.Rd(), rs&rt)
+		s.setReg(w.Rd(), rs&rt)
 	case isa.FnOR:
-		c.setReg(w.Rd(), rs|rt)
+		s.setReg(w.Rd(), rs|rt)
 	case isa.FnXOR:
-		c.setReg(w.Rd(), rs^rt)
+		s.setReg(w.Rd(), rs^rt)
 	case isa.FnNOR:
-		c.setReg(w.Rd(), ^(rs | rt))
+		s.setReg(w.Rd(), ^(rs | rt))
 	case isa.FnSLT:
 		if int32(rs) < int32(rt) {
-			c.setReg(w.Rd(), 1)
+			s.setReg(w.Rd(), 1)
 		} else {
-			c.setReg(w.Rd(), 0)
+			s.setReg(w.Rd(), 0)
 		}
 	case isa.FnSLTU:
 		if rs < rt {
-			c.setReg(w.Rd(), 1)
+			s.setReg(w.Rd(), 1)
 		} else {
-			c.setReg(w.Rd(), 0)
+			s.setReg(w.Rd(), 0)
 		}
 	}
 	return nil
 }
 
-func (c *CPU) execMem(pc uint32, w isa.Word) *Exception {
-	addr := c.Regs[w.Rs()] + uint32(w.SImm())
+func (c *CPU) execMem(s *State, pc uint32, w isa.Word) *Exception {
+	addr := s.Regs[w.Rs()] + uint32(w.SImm())
 	switch w.Op() {
 	case isa.OpLB:
-		c.Cycles += extraCyclesLoad
+		s.Cycles += extraCyclesLoad
 		v, ok := c.Mem.Load8(addr)
 		if !ok {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
-		c.setReg(w.Rt(), uint32(int32(int8(v))))
+		s.setReg(w.Rt(), uint32(int32(int8(v))))
 	case isa.OpLBU:
-		c.Cycles += extraCyclesLoad
+		s.Cycles += extraCyclesLoad
 		v, ok := c.Mem.Load8(addr)
 		if !ok {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
-		c.setReg(w.Rt(), v)
+		s.setReg(w.Rt(), v)
 	case isa.OpLH:
 		if addr&1 != 0 {
 			return &Exception{Kind: ExcUnaligned, PC: pc, Addr: addr}
 		}
-		c.Cycles += extraCyclesLoad
+		s.Cycles += extraCyclesLoad
 		v, ok := c.Mem.Load16(addr)
 		if !ok {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
-		c.setReg(w.Rt(), uint32(int32(int16(v))))
+		s.setReg(w.Rt(), uint32(int32(int16(v))))
 	case isa.OpLHU:
 		if addr&1 != 0 {
 			return &Exception{Kind: ExcUnaligned, PC: pc, Addr: addr}
 		}
-		c.Cycles += extraCyclesLoad
+		s.Cycles += extraCyclesLoad
 		v, ok := c.Mem.Load16(addr)
 		if !ok {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
-		c.setReg(w.Rt(), v)
+		s.setReg(w.Rt(), v)
 	case isa.OpLW:
 		if addr&3 != 0 {
 			return &Exception{Kind: ExcUnaligned, PC: pc, Addr: addr}
 		}
-		c.Cycles += extraCyclesLoad
+		s.Cycles += extraCyclesLoad
 		v, ok := c.Mem.Load32(addr)
 		if !ok {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
-		c.setReg(w.Rt(), v)
+		s.setReg(w.Rt(), v)
 	case isa.OpSB:
-		if !c.Mem.Store8(addr, c.Regs[w.Rt()]) {
+		if !c.Mem.Store8(addr, s.Regs[w.Rt()]) {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
 	case isa.OpSH:
 		if addr&1 != 0 {
 			return &Exception{Kind: ExcUnaligned, PC: pc, Addr: addr}
 		}
-		if !c.Mem.Store16(addr, c.Regs[w.Rt()]) {
+		if !c.Mem.Store16(addr, s.Regs[w.Rt()]) {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
 	case isa.OpSW:
 		if addr&3 != 0 {
 			return &Exception{Kind: ExcUnaligned, PC: pc, Addr: addr}
 		}
-		if !c.Mem.Store32(addr, c.Regs[w.Rt()]) {
+		if !c.Mem.Store32(addr, s.Regs[w.Rt()]) {
 			return &Exception{Kind: ExcBusError, PC: pc, Addr: addr}
 		}
 	}

@@ -22,15 +22,22 @@ package mhash
 // misses. The zero allocation guarantee of the packet path includes this
 // type: Hash never allocates.
 type FastHasher struct {
+	// CacheCounters are written on every lookup; NewFast allocates them,
+	// and an owner running hashers on several cores may move them onto
+	// cache lines of their own (copy the value, repoint the pointer).
+	*CacheCounters
+
 	inner Hasher
 	width int
 	shift uint
 	// entries packs one cache line into a uint64:
 	// bit 63 = valid, bits 8..39 = instruction word (tag), bits 0..7 = hash.
 	entries []uint64
+}
 
-	// Hits and Misses count lookups; they are diagnostics for sizing the
-	// cache, not part of the hardware model.
+// CacheCounters count a FastHasher's lookups. They are diagnostics for
+// sizing the cache, not part of the hardware model.
+type CacheCounters struct {
 	Hits, Misses uint64
 }
 
@@ -52,10 +59,11 @@ func NewFast(inner Hasher, cacheBits int) *FastHasher {
 		cacheBits = 20
 	}
 	return &FastHasher{
-		inner:   inner,
-		width:   inner.Width(),
-		shift:   uint(32 - cacheBits),
-		entries: make([]uint64, 1<<cacheBits),
+		CacheCounters: &CacheCounters{},
+		inner:         inner,
+		width:         inner.Width(),
+		shift:         uint(32 - cacheBits),
+		entries:       make([]uint64, 1<<cacheBits),
 	}
 }
 

@@ -353,17 +353,17 @@ func BenchPackets(n int, seed int64, optWords int) [][]byte {
 }
 
 // HashCacheStats sums the per-core instruction-hash cache counters. Both are
-// zero on the Reference path (which has no cache).
+// zero on the Reference path (which has no cache). Like MonitorStats it
+// takes each slot lock, so it is safe to call while the NP is processing.
 func (np *NP) HashCacheStats() (hits, misses uint64) {
 	for _, s := range np.slots {
-		if !s.loaded {
-			continue
-		}
-		if pm, ok := s.mon.(*monitor.PackedMonitor); ok {
+		s.mu.Lock()
+		if pm, ok := s.mon.(*monitor.PackedMonitor); ok && s.loaded {
 			h, m := pm.CacheStats()
 			hits += h
 			misses += m
 		}
+		s.mu.Unlock()
 	}
 	return hits, misses
 }

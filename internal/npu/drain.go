@@ -34,17 +34,17 @@ type BatchOutcome struct {
 // delta — not a Stats() before/after window — so concurrent traffic on
 // the same NP (a rollout's health sample batching against a live line
 // card) cannot leak into the shard's accounting. The ECNMarked tally comes
-// from inside the batch engine, while it still holds batchMu: the result
-// Packet slices alias the NP's reused arena, so scanning them here would
-// race a concurrent batch overwriting it.
+// from inside the batch engine: each worker counts its own CE-marked
+// forwards as they retire. The drain path keeps no per-packet results, so
+// it allocates no results slice and copies no outputs.
 func (np *NP) DrainBatch(pkts [][]byte, qdepth int) (BatchOutcome, error) {
 	return np.DrainBatchRelease(pkts, qdepth, nil)
 }
 
 // DrainBatchRelease is DrainBatch with a buffer-return hook. The batch
 // engine copies every input into core packet memory before executing it
-// and copies every output into the NP's own arena before returning, so
-// once processBatch comes back no reference to the pkts slices survives
+// and drops its references to the batch before returning, so once
+// processBatch comes back no reference to the pkts slices survives
 // anywhere in the NP. release (if non-nil) is invoked exactly once at
 // that point — after the engine's last read of the inputs, before the
 // outcome is accounted — which is the earliest instant a zero-copy
@@ -81,7 +81,7 @@ func (np *NP) DrainBatchDomainRelease(domain string, pkts [][]byte, qdepth int, 
 }
 
 func (np *NP) drainBatch(pkts [][]byte, qdepth int, domIdx int, release func()) (BatchOutcome, error) {
-	_, d, ecnMarked, err := np.processBatch(pkts, qdepth, domIdx)
+	_, d, ecnMarked, err := np.processBatch(pkts, qdepth, domIdx, false)
 	if release != nil {
 		release()
 	}

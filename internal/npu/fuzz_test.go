@@ -13,7 +13,11 @@ import (
 // fuzzNP builds an NP with ipv4cm and monitors installed, without a
 // *testing.T (fuzz targets construct state under *testing.F).
 func fuzzNP(cores int) (*NP, error) {
-	np, err := New(Config{Cores: cores, MonitorsEnabled: true})
+	return fuzzNPWith(Config{Cores: cores, MonitorsEnabled: true})
+}
+
+func fuzzNPWith(cfg Config) (*NP, error) {
+	np, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -32,6 +36,21 @@ func fuzzNP(cores int) (*NP, error) {
 	return np, nil
 }
 
+// fuzzSeeds is FuzzProcessPacket's seed corpus: benign packets, the E8
+// stack smash, and degenerate inputs.
+func fuzzSeeds() [][]byte {
+	gen := packet.NewGenerator(77)
+	gen.OptionWords = 1
+	seeds := [][]byte{gen.Next(), gen.Next()}
+	smash := attack.DefaultSmash()
+	if code, err := smash.HijackPayload(); err == nil {
+		if pkt, err := smash.CraftPacket(code); err == nil {
+			seeds = append(seeds, pkt)
+		}
+	}
+	return append(seeds, nil, []byte{0x45}, make([]byte, 20))
+}
+
 // FuzzProcessPacket throws arbitrary bytes at an installed ipv4cm core with
 // monitors enabled. Whatever the bytes — truncated headers, garbage options,
 // crafted attack payloads — the data plane must not panic, the statistics
@@ -39,20 +58,9 @@ func fuzzNP(cores int) (*NP, error) {
 // preserved), and a monitor alarm must always translate into a drop verdict
 // (the paper's recovery sequence).
 func FuzzProcessPacket(f *testing.F) {
-	gen := packet.NewGenerator(77)
-	gen.OptionWords = 1
-	f.Add(gen.Next())
-	f.Add(gen.Next())
-	smash := attack.DefaultSmash()
-	if code, err := smash.HijackPayload(); err == nil {
-		if pkt, err := smash.CraftPacket(code); err == nil {
-			f.Add(pkt)
-		}
+	for _, pkt := range fuzzSeeds() {
+		f.Add(pkt)
 	}
-	f.Add([]byte(nil))
-	f.Add([]byte{0x45})
-	f.Add(make([]byte, 20))
-
 	np, err := fuzzNP(1)
 	if err != nil {
 		f.Fatal(err)

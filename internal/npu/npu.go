@@ -204,16 +204,12 @@ type NP struct {
 	mRollbacks, mAborts              *obs.Counter
 	batchLat                         *obs.Histogram
 
-	// Reused ProcessBatch scratch (see batch.go): packet-copy arena,
-	// per-result offsets, per-core stat deltas. Amortizes batch setup to
-	// zero allocations in steady state. batchMu serializes batch entry so
-	// the scratch is single-owner even when a management-plane caller
-	// (e.g. a rollout's health sample) batches against an NP whose shard
-	// worker is draining it concurrently.
+	// The batch engine's reused state (see batch.go). batchMu serializes
+	// batch entry so it is single-owner even when a management-plane
+	// caller (e.g. a rollout's health sample) batches against an NP whose
+	// shard worker is draining it concurrently.
 	batchMu sync.Mutex
-	arena   []byte
-	offs    []int
-	deltas  []Stats
+	run     batchRun
 }
 
 // New builds an NP.
@@ -350,7 +346,11 @@ func (np *NP) prepare(name string, binary, graph []byte, param uint32) (*prepare
 	if err := g.Validate(prog, hasher); err != nil {
 		return nil, fmt.Errorf("npu: graph/binary mismatch: %w", err)
 	}
-	var mon coreMonitor
+	var (
+		mon    coreMonitor
+		packed *monitor.PackedMonitor
+		fast   *mhash.FastHasher
+	)
 	if np.cfg.Reference {
 		// Pre-optimization reference: map-based NFA monitor, uncached
 		// hash unit.
@@ -361,9 +361,9 @@ func (np *NP) prepare(name string, binary, graph []byte, param uint32) (*prepare
 		mon = m
 	} else {
 		// The per-instruction fast path: packed hardware-layout monitor
-		// compiled to flat transition arrays, fed by a word-keyed
+		// stepping its lazily built DFA, fed by a word-keyed
 		// instruction-hash cache with concrete (non-interface) dispatch.
-		packed, err := monitor.Pack(g)
+		pg, err := monitor.Pack(g)
 		if err != nil {
 			return nil, fmt.Errorf("npu: %w", err)
 		}
@@ -371,14 +371,17 @@ func (np *NP) prepare(name string, binary, graph []byte, param uint32) (*prepare
 		if cacheBits == 0 {
 			cacheBits = mhash.DefaultFastCacheBits
 		}
-		m, err := monitor.NewPacked(packed, mhash.NewFast(hasher, cacheBits))
-		if err != nil {
+		fast = mhash.NewFast(hasher, cacheBits)
+		if packed, err = monitor.NewPacked(pg, fast); err != nil {
 			return nil, fmt.Errorf("npu: %w", err)
 		}
-		mon = m
+		mon = packed
 	}
 	p := &preparedApp{core: apps.NewCore(prog), mon: mon, hasher: hasher,
 		appName: name, param: param}
+	// Every instruction writes the core's, monitor's and cache's state:
+	// give it cache lines no other core touches.
+	new(coreBlock).adopt(p.core.CPU(), packed, fast)
 	var trace cpu.TraceFunc
 	if np.cfg.MonitorsEnabled {
 		trace = mon.Observe
