@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-fastpath test-dpbench bench bench-ingress bench-tenant fuzz experiments examples verilog clean
+.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant test-fastpath test-dpbench api-surface bench bench-ingress bench-tenant fuzz experiments examples verilog clean
 
 all: check
 
@@ -121,6 +121,19 @@ test-fastpath:
 # cannot break it unseen.
 test-dpbench:
 	cd dpbench && $(GO) vet . && $(GO) test .
+
+# Exported API and size per internal package: the number of exported
+# top-level functions and methods, and the number of non-test Go lines.
+# Deletion PRs report this before and after.
+api-surface:
+	@printf '%-14s %8s %8s\n' package exported lines
+	@for d in internal/*/; do \
+		files=$$(ls $$d*.go 2>/dev/null | grep -v '_test\.go$$'); \
+		[ -n "$$files" ] || continue; \
+		fns=$$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]'); \
+		lines=$$(cat $$files | wc -l); \
+		printf '%-14s %8d %8d\n' $$(basename $$d) $$fns $$lines; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

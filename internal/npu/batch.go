@@ -63,10 +63,10 @@ type batchRun struct {
 // per-packet results (outputs copied into the reused arena); the drain
 // path passes false and gets nil results, skipping both the results slice
 // and the output copies. It additionally returns the merged stat delta of
-// exactly this batch, which is how DrainBatch accounts a batch without a
-// Stats() before/after window that concurrent traffic on the same NP would
-// pollute, and the batch's CE-marked forward count, which each worker
-// tallies from its own outputs as they retire.
+// exactly this batch, which is how DrainBatchDomainRelease accounts a
+// batch without a Stats() before/after window that concurrent traffic on
+// the same NP would pollute, and the batch's CE-marked forward count,
+// which each worker tallies from its own outputs as they retire.
 //
 // domIdx restricts the batch to the cores of one protection domain
 // (domain.go); -1 runs on every core. The loaded/available probes count

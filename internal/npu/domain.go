@@ -4,19 +4,21 @@ package npu
 // trusted layer. A domain is an exclusive set of core slots owned by one
 // tenant; the trusted domain manager (internal/tenant) assigns the
 // partition once with SetDomains and then performs every install, stage,
-// commit, rollback, and quarantine through the *Domain entry points below,
-// which refuse any core the named domain does not own. This is the
-// Sanctum-style discipline: the mapping lives in one small trusted layer,
-// and nothing a tenant does — including its own upgrade traffic — can
-// reach another tenant's slots. Per-domain statistics accumulate alongside
-// the NP aggregate so a tenant's health is observable without reading (or
-// perturbing) anyone else's numbers.
+// commit, rollback, and quarantine through the *Domain entry points below.
+// Each set-wide operation has one body over a core set (installOn,
+// stageOn, commitOn, rollbackOn, abortOn): the untenanted name passes
+// every core, the *Domain name passes exactly the cores the domain owns,
+// and the one per-core domain call, QuarantineDomain, refuses any core
+// the domain does not own. This is the Sanctum-style discipline: the
+// mapping lives in one small trusted layer, and nothing a tenant does —
+// including its own upgrade traffic — can reach another tenant's slots.
+// Per-domain statistics accumulate alongside the NP aggregate so a
+// tenant's health is observable without reading (or perturbing) anyone
+// else's numbers.
 
 import (
 	"errors"
 	"fmt"
-
-	"sdmmon/internal/obs"
 )
 
 // Domain access errors.
@@ -137,7 +139,7 @@ func (np *NP) domainIdx(name string) (int, error) {
 	return idx, nil
 }
 
-// checkDomain is the ownership gate every *Domain mutation passes through.
+// checkDomain is the ownership gate of the per-core domain calls.
 func (np *NP) checkDomain(domain string, coreID int) error {
 	if coreID < 0 || coreID >= len(np.slots) {
 		return fmt.Errorf("npu: core %d out of range", coreID)
@@ -155,91 +157,36 @@ func (np *NP) checkDomain(domain string, coreID int) error {
 	return nil
 }
 
-// InstallDomain is Install gated on domain ownership: the bundle lands on
-// the core only if the named domain owns it.
-func (np *NP) InstallDomain(domain string, coreID int, name string, binary, graph []byte, param uint32) error {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return err
+// ownedCores is DomainCores for an install or stage, which must land
+// somewhere: a domain owning no cores (a root domain fully partitioned
+// away) is refused.
+func (np *NP) ownedCores(domain string) ([]int, error) {
+	cores, err := np.DomainCores(domain)
+	if err == nil && len(cores) == 0 {
+		err = fmt.Errorf("npu: domain %q owns no cores", domain)
 	}
-	return np.Install(coreID, name, binary, graph, param)
+	return cores, err
 }
 
 // InstallDomainAll installs one bundle on every core the domain owns,
-// transactionally: all images are prepared and self-checked before any
-// slot is mutated. Cores outside the domain are never touched.
+// transactionally (see installOn). Cores outside the domain are never
+// touched.
 func (np *NP) InstallDomainAll(domain, name string, binary, graph []byte, param uint32) error {
-	cores, err := np.DomainCores(domain)
+	cores, err := np.ownedCores(domain)
 	if err != nil {
 		return err
 	}
-	if len(cores) == 0 {
-		return fmt.Errorf("npu: domain %q owns no cores", domain)
-	}
-	prepared := make([]*preparedApp, len(cores))
-	for i := range cores {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
-	}
-	for i, coreID := range cores {
-		slot := np.slots[coreID]
-		slot.mu.Lock()
-		slot.setLive(prepared[i])
-		slot.staged = nil
-		slot.prev = nil
-		slot.sup.onInstall()
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvInstall, 0, 0)
-		np.mInstalls.Inc()
-	}
-	return nil
-}
-
-// StageInstallDomain is StageInstall gated on domain ownership.
-func (np *NP) StageInstallDomain(domain string, coreID int, name string, binary, graph []byte, param uint32) error {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return err
-	}
-	return np.StageInstall(coreID, name, binary, graph, param)
+	return np.installOn(cores, name, binary, graph, param)
 }
 
 // StageInstallDomainAll stages one bundle on every core the domain owns;
 // preparation happens for every core before any shadow slot is written.
 func (np *NP) StageInstallDomainAll(domain, name string, binary, graph []byte, param uint32) error {
-	cores, err := np.DomainCores(domain)
+	cores, err := np.ownedCores(domain)
 	if err != nil {
 		return err
 	}
-	if len(cores) == 0 {
-		return fmt.Errorf("npu: domain %q owns no cores", domain)
-	}
-	prepared := make([]*preparedApp, len(cores))
-	for i := range cores {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
-	}
-	for i, coreID := range cores {
-		slot := np.slots[coreID]
-		slot.mu.Lock()
-		slot.staged = prepared[i]
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvStage, 0, 0)
-		np.mStages.Inc()
-	}
-	return nil
-}
-
-// CommitDomain is Commit gated on domain ownership.
-func (np *NP) CommitDomain(domain string, coreID int) (uint64, error) {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return 0, err
-	}
-	return np.Commit(coreID)
+	return np.stageOn(cores, name, binary, graph, param)
 }
 
 // CommitDomainAll commits every core the domain owns, all-or-nothing
@@ -251,28 +198,7 @@ func (np *NP) CommitDomainAll(domain string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, coreID := range cores {
-		if !np.HasStaged(coreID) {
-			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingStaged)
-		}
-	}
-	var cycles uint64
-	for _, coreID := range cores {
-		c, err := np.Commit(coreID)
-		if err != nil {
-			return cycles, err
-		}
-		cycles += c
-	}
-	return cycles, nil
-}
-
-// RollbackDomain is Rollback gated on domain ownership.
-func (np *NP) RollbackDomain(domain string, coreID int) (uint64, error) {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return 0, err
-	}
-	return np.Rollback(coreID)
+	return np.commitOn(cores)
 }
 
 // RollbackDomainAll rolls back every core the domain owns, all-or-nothing
@@ -282,20 +208,7 @@ func (np *NP) RollbackDomainAll(domain string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, coreID := range cores {
-		if !np.CanRollback(coreID) {
-			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingRetained)
-		}
-	}
-	var cycles uint64
-	for _, coreID := range cores {
-		c, err := np.Rollback(coreID)
-		if err != nil {
-			return cycles, err
-		}
-		cycles += c
-	}
-	return cycles, nil
+	return np.rollbackOn(cores)
 }
 
 // AbortStagedDomain discards staged bundles on every core the domain owns.
@@ -304,9 +217,7 @@ func (np *NP) AbortStagedDomain(domain string) error {
 	if err != nil {
 		return err
 	}
-	for _, coreID := range cores {
-		_ = np.AbortStaged(coreID)
-	}
+	np.abortOn(cores)
 	return nil
 }
 
@@ -337,28 +248,12 @@ func (np *NP) StatsDomain(name string) (Stats, error) {
 }
 
 // HealthyDomain reports whether at least one core the domain owns can take
-// traffic — the per-tenant health probe of the shard plane's failover
-// logic. An unknown domain is never healthy.
+// traffic — the per-lane health probe of the shard plane's failover logic.
+// An unknown domain is never healthy. With no partition installed, the
+// root domain "" is every core.
 func (np *NP) HealthyDomain(name string) bool {
 	idx, err := np.domainIdx(name)
-	if err != nil {
-		return false
-	}
-	for coreID, s := range np.slots {
-		np.statsMu.Lock()
-		mine := np.slotDomain[coreID] == idx
-		np.statsMu.Unlock()
-		if !mine {
-			continue
-		}
-		s.mu.Lock()
-		ok := s.available()
-		s.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	return false
+	return err == nil && np.available(idx) > 0
 }
 
 // AvailableCoresDomain counts the domain's loaded, non-quarantined cores.
@@ -367,12 +262,19 @@ func (np *NP) AvailableCoresDomain(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return np.available(idx), nil
+}
+
+// available counts the loaded, non-quarantined cores of one domain (-1:
+// every core). It takes each slot's lock, so it is safe to call while the
+// NP is processing.
+func (np *NP) available(domIdx int) int {
+	np.statsMu.Lock()
+	owners := np.slotDomain // SetDomains swaps the slice, never edits it
+	np.statsMu.Unlock()
 	n := 0
 	for coreID, s := range np.slots {
-		np.statsMu.Lock()
-		mine := np.slotDomain[coreID] == idx
-		np.statsMu.Unlock()
-		if !mine {
+		if domIdx >= 0 && owners[coreID] != domIdx {
 			continue
 		}
 		s.mu.Lock()
@@ -381,5 +283,5 @@ func (np *NP) AvailableCoresDomain(name string) (int, error) {
 		}
 		s.mu.Unlock()
 	}
-	return n, nil
+	return n
 }

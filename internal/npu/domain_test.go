@@ -64,10 +64,10 @@ func TestSetDomainsValidation(t *testing.T) {
 	}
 }
 
-// TestCrossDomainInstallRefused is the tentpole's access-control
-// acceptance check: no install, stage, commit, rollback, or quarantine
-// addressed through one domain may reach a core another domain owns — and
-// the refusal is ErrDomainViolation with no state change.
+// TestCrossDomainInstallRefused is the domain gate's access-control
+// check: a quarantine addressed through one domain may not reach a core
+// another domain owns — the refusal is ErrDomainViolation with no state
+// change — and a domain-wide install lands on exactly the domain's cores.
 func TestCrossDomainInstallRefused(t *testing.T) {
 	np := domainNP(t, 4)
 	if err := np.SetDomains([]DomainSpec{
@@ -78,22 +78,10 @@ func TestCrossDomainInstallRefused(t *testing.T) {
 	}
 	bin, g := makeBundle(t, apps.UDPEcho(), 0xE0)
 
-	if err := np.InstallDomain("a", 2, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("InstallDomain onto b's core: %v, want ErrDomainViolation", err)
-	}
-	if err := np.StageInstallDomain("a", 3, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("StageInstallDomain onto b's core: %v, want ErrDomainViolation", err)
-	}
-	if _, err := np.CommitDomain("a", 2); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("CommitDomain onto b's core: %v, want ErrDomainViolation", err)
-	}
-	if _, err := np.RollbackDomain("a", 2); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("RollbackDomain onto b's core: %v, want ErrDomainViolation", err)
-	}
 	if err := np.QuarantineDomain("a", 2); !errors.Is(err, ErrDomainViolation) {
 		t.Errorf("QuarantineDomain onto b's core: %v, want ErrDomainViolation", err)
 	}
-	if err := np.InstallDomain("ghost", 0, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrUnknownDomain) {
+	if err := np.InstallDomainAll("ghost", "udpecho", bin, g, 0xE0); !errors.Is(err, ErrUnknownDomain) {
 		t.Errorf("unknown domain install: %v, want ErrUnknownDomain", err)
 	}
 	// b's cores are untouched by all of the above.
@@ -166,9 +154,9 @@ func TestDomainStagedCommitRollback(t *testing.T) {
 	}
 }
 
-// TestDomainRestrictedBatchAndStats: DrainBatchDomain runs only on the
-// domain's cores, per-domain stat accounts partition the NP aggregate, and
-// a fully-quarantined domain reports ErrNoCoreAvailable while its
+// TestDomainRestrictedBatchAndStats: DrainBatchDomainRelease runs only on
+// the domain's cores, per-domain stat accounts partition the NP aggregate,
+// and a fully-quarantined domain reports ErrNoCoreAvailable while its
 // neighbors stay healthy.
 func TestDomainRestrictedBatchAndStats(t *testing.T) {
 	np := domainNP(t, 4)
@@ -184,7 +172,7 @@ func TestDomainRestrictedBatchAndStats(t *testing.T) {
 		batch[i] = gen.Next()
 	}
 
-	out, err := np.DrainBatchDomain("a", batch, 0)
+	out, err := np.DrainBatchDomainRelease("a", batch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +212,13 @@ func TestDomainRestrictedBatchAndStats(t *testing.T) {
 	if n, _ := np.AvailableCoresDomain("b"); n != 2 {
 		t.Errorf("domain b has %d available cores, want 2", n)
 	}
-	if _, err := np.DrainBatchDomain("a", batch, 0); !errors.Is(err, ErrNoCoreAvailable) {
+	if _, err := np.DrainBatchDomainRelease("a", batch, 0, nil); !errors.Is(err, ErrNoCoreAvailable) {
 		t.Errorf("drain on wedged domain: %v, want ErrNoCoreAvailable", err)
 	}
-	if out, err := np.DrainBatchDomain("b", batch, 0); err != nil || out.Processed != 40 {
+	if out, err := np.DrainBatchDomainRelease("b", batch, 0, nil); err != nil || out.Processed != 40 {
 		t.Errorf("domain b drain after a wedged: %+v, %v", out, err)
 	}
-	if _, err := np.DrainBatchDomain("ghost", batch, 0); !errors.Is(err, ErrUnknownDomain) {
+	if _, err := np.DrainBatchDomainRelease("ghost", batch, 0, nil); !errors.Is(err, ErrUnknownDomain) {
 		t.Errorf("drain on unknown domain: %v", err)
 	}
 	if np.HealthyDomain("ghost") {
@@ -330,7 +318,7 @@ func TestDomainStatsRepartitionResets(t *testing.T) {
 	for i := range batch {
 		batch[i] = gen.Next()
 	}
-	if _, err := np.DrainBatchDomain("x", batch, 0); err != nil {
+	if _, err := np.DrainBatchDomainRelease("x", batch, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s, _ := np.StatsDomain("x"); s.Processed != 10 {

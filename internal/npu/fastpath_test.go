@@ -48,36 +48,58 @@ func TestCoreBlockLayout(t *testing.T) {
 // TestDrainBatchAllocsFlat: the drain path keeps no per-packet results,
 // so a 64-packet batch costs exactly the allocations of a 1-packet batch
 // (none at all when one core takes part and the batch runs inline), and
-// no bytes per packet.
+// no bytes per packet. That holds for the root domain of an unpartitioned
+// NP and for either side of a partition alike: resolving the domain costs
+// nothing.
 func TestDrainBatchAllocsFlat(t *testing.T) {
 	pkts := BenchPackets(64, 41, 2)
-	for _, cores := range []int{1, 2} {
-		np := allocNP(t, cores, false)
-		drain := func(batch [][]byte) {
-			if _, err := np.DrainBatchRelease(batch, 0, nil); err != nil {
-				t.Fatal(err)
+	split := []DomainSpec{{Name: "a", Cores: []int{0}}}
+	cases := []struct {
+		name    string
+		cores   int
+		domains []DomainSpec
+		domain  string
+		inline  bool // exactly one core takes part
+	}{
+		{"1 core", 1, nil, "", true},
+		{"2 cores", 2, nil, "", false},
+		{"partitioned domain", 2, split, "a", true},
+		{"root domain beside a partition", 2, split, "", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			np := allocNP(t, c.cores, false)
+			if c.domains != nil {
+				if err := np.SetDomains(c.domains); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		drain(pkts) // warm the hash caches and DFA tables
-		one := testing.AllocsPerRun(200, func() { drain(pkts[:1]) })
-		full := testing.AllocsPerRun(200, func() { drain(pkts) })
-		if one != full {
-			t.Fatalf("%d cores: %.1f allocs for a 1-packet batch, %.1f for 64", cores, one, full)
-		}
-		if cores == 1 && full != 0 {
-			t.Fatalf("inline single-core drain allocates %.1f objects per batch", full)
-		}
-		var m0, m1 runtime.MemStats
-		const batches = 100
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < batches; i++ {
-			drain(pkts)
-		}
-		runtime.ReadMemStats(&m1)
-		perPkt := float64(m1.TotalAlloc-m0.TotalAlloc) / (batches * float64(len(pkts)))
-		if perPkt > 8 {
-			t.Fatalf("%d cores: drain path allocates %.1f B/packet", cores, perPkt)
-		}
+			drain := func(batch [][]byte) {
+				if _, err := np.DrainBatchDomainRelease(c.domain, batch, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drain(pkts) // warm the hash caches and DFA tables
+			one := testing.AllocsPerRun(200, func() { drain(pkts[:1]) })
+			full := testing.AllocsPerRun(200, func() { drain(pkts) })
+			if one != full {
+				t.Fatalf("%.1f allocs for a 1-packet batch, %.1f for 64", one, full)
+			}
+			if c.inline && full != 0 {
+				t.Fatalf("inline single-core drain allocates %.1f objects per batch", full)
+			}
+			var m0, m1 runtime.MemStats
+			const batches = 100
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < batches; i++ {
+				drain(pkts)
+			}
+			runtime.ReadMemStats(&m1)
+			perPkt := float64(m1.TotalAlloc-m0.TotalAlloc) / (batches * float64(len(pkts)))
+			if perPkt > 8 {
+				t.Fatalf("drain path allocates %.1f B/packet", perPkt)
+			}
+		})
 	}
 }
 
@@ -91,7 +113,7 @@ func TestHashCacheStatsRace(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if _, err := np.DrainBatch(pkts, 0); err != nil {
+			if _, err := np.DrainBatchDomainRelease("", pkts, 0, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -134,7 +156,7 @@ func TestCommitUnderSaturatedDrain(t *testing.T) {
 		go func(np *NP) {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := np.DrainBatch(pkts, 0); err != nil {
+				if _, err := np.DrainBatchDomainRelease("", pkts, 0, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -404,23 +404,59 @@ func (np *NP) Install(coreID int, name string, binary, graph []byte, param uint3
 	if coreID < 0 || coreID >= len(np.slots) {
 		return fmt.Errorf("npu: core %d out of range", coreID)
 	}
-	p, err := np.prepare(name, binary, graph, param)
+	return np.installOn([]int{coreID}, name, binary, graph, param)
+}
+
+// installOn is the one install body: it installs the same bundle on every
+// listed core, transactionally — every core's image is prepared and
+// self-checked before any slot is mutated, so a bundle that fails
+// validation for core N can never leave the cores before it upgraded and
+// the rest stale. (Per-core preparation matters even for an identical
+// bundle — the configured hash-unit factory may be stateful, as the
+// fault-injection suite's flaky hashers are.)
+func (np *NP) installOn(cores []int, name string, binary, graph []byte, param uint32) error {
+	prepared, err := np.prepareFor(cores, name, binary, graph, param)
 	if err != nil {
 		return err
 	}
-	slot := np.slots[coreID]
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	slot.setLive(p)
-	slot.staged = nil
-	slot.prev = nil
-	// A quarantined core re-enters dispatch on probation: the clean
-	// re-install (fresh core memory, fresh monitor) is the probe step of
-	// the quarantine policy.
-	slot.sup.onInstall()
-	slot.ring.Emit(obs.EvInstall, 0, 0)
-	np.mInstalls.Inc()
+	for i, coreID := range cores {
+		slot := np.slots[coreID]
+		slot.mu.Lock()
+		slot.setLive(prepared[i])
+		slot.staged = nil
+		slot.prev = nil
+		// A quarantined core re-enters dispatch on probation: the clean
+		// re-install (fresh core memory, fresh monitor) is the probe step
+		// of the quarantine policy.
+		slot.sup.onInstall()
+		slot.mu.Unlock()
+		slot.ring.Emit(obs.EvInstall, 0, 0)
+		np.mInstalls.Inc()
+	}
 	return nil
+}
+
+// prepareFor builds one installation image per listed core.
+func (np *NP) prepareFor(cores []int, name string, binary, graph []byte, param uint32) ([]*preparedApp, error) {
+	prepared := make([]*preparedApp, len(cores))
+	for i := range cores {
+		p, err := np.prepare(name, binary, graph, param)
+		if err != nil {
+			return nil, err
+		}
+		prepared[i] = p
+	}
+	return prepared, nil
+}
+
+// allCores lists every core: the set each untenanted operation spans,
+// partitioned NP or not.
+func (np *NP) allCores() []int {
+	cores := make([]int, len(np.slots))
+	for i := range cores {
+		cores[i] = i
+	}
+	return cores
 }
 
 // TraceDump returns the core's forensic trace (last n instructions), or ""
@@ -432,32 +468,10 @@ func (np *NP) TraceDump(coreID, n int) string {
 	return np.slots[coreID].tracer.Dump(n)
 }
 
-// InstallAll installs the same bundle on every core, transactionally: every
-// core's image is prepared and self-checked before any slot is mutated, so a
-// bundle that fails validation for core N can no longer leave cores 0..N-1
-// upgraded and the rest stale. (Per-core preparation matters even for an
-// identical bundle — the configured hash-unit factory may be stateful, as
-// the fault-injection suite's flaky hashers are.)
+// InstallAll installs the same bundle on every core, transactionally (see
+// installOn).
 func (np *NP) InstallAll(name string, binary, graph []byte, param uint32) error {
-	prepared := make([]*preparedApp, len(np.slots))
-	for i := range np.slots {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
-	}
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		slot.setLive(prepared[i])
-		slot.staged = nil
-		slot.prev = nil
-		slot.sup.onInstall()
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvInstall, 0, 0)
-		np.mInstalls.Inc()
-	}
-	return nil
+	return np.installOn(np.allCores(), name, binary, graph, param)
 }
 
 // AppOn reports the application installed on a core.

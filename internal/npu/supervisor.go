@@ -175,15 +175,7 @@ func (np *NP) CoreHealth(coreID int) (CoreHealth, error) {
 }
 
 // AvailableCores counts loaded, non-quarantined cores.
-func (np *NP) AvailableCores() int {
-	n := 0
-	for _, s := range np.slots {
-		if s.available() {
-			n++
-		}
-	}
-	return n
-}
+func (np *NP) AvailableCores() int { return np.available(-1) }
 
 // Quarantine removes a core from dispatch manually (operator action, the
 // degraded-throughput bench, or a mid-run failover drill). It works with or

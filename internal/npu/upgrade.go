@@ -45,32 +45,24 @@ func (np *NP) StageInstall(coreID int, name string, binary, graph []byte, param 
 	if coreID < 0 || coreID >= len(np.slots) {
 		return fmt.Errorf("npu: core %d out of range", coreID)
 	}
-	p, err := np.prepare(name, binary, graph, param)
+	return np.stageOn([]int{coreID}, name, binary, graph, param)
+}
+
+// StageInstallAll stages the same bundle on every core (see stageOn).
+func (np *NP) StageInstallAll(name string, binary, graph []byte, param uint32) error {
+	return np.stageOn(np.allCores(), name, binary, graph, param)
+}
+
+// stageOn is the one staging body: preparation happens for every listed
+// core before any shadow slot is written, so a failure leaves all of them
+// exactly as they were.
+func (np *NP) stageOn(cores []int, name string, binary, graph []byte, param uint32) error {
+	prepared, err := np.prepareFor(cores, name, binary, graph, param)
 	if err != nil {
 		return err
 	}
-	slot := np.slots[coreID]
-	slot.mu.Lock()
-	slot.staged = p
-	slot.mu.Unlock()
-	slot.ring.Emit(obs.EvStage, 0, 0)
-	np.mStages.Inc()
-	return nil
-}
-
-// StageInstallAll stages the same bundle on every core. Preparation happens
-// for every core before any shadow slot is written, so a failure leaves all
-// cores exactly as they were.
-func (np *NP) StageInstallAll(name string, binary, graph []byte, param uint32) error {
-	prepared := make([]*preparedApp, len(np.slots))
-	for i := range np.slots {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
-	}
-	for i, slot := range np.slots {
+	for i, coreID := range cores {
+		slot := np.slots[coreID]
 		slot.mu.Lock()
 		slot.staged = prepared[i]
 		slot.mu.Unlock()
@@ -107,23 +99,24 @@ func (np *NP) Commit(coreID int) (uint64, error) {
 	return commitCycles, nil
 }
 
-// CommitAll commits every core, all-or-nothing: if any core has nothing
-// staged, no core is cut over. Cores commit one at a time, each at its own
-// packet boundary — the data plane never pauses fleet-wide, and a packet in
-// flight on core 1 while core 0 commits still sees a consistent (old or new,
-// never mixed) image on whichever core runs it.
-func (np *NP) CommitAll() (uint64, error) {
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		staged := slot.staged != nil
-		slot.mu.Unlock()
-		if !staged {
-			return 0, fmt.Errorf("npu: core %d: %w", i, ErrNothingStaged)
+// CommitAll commits every core, all-or-nothing (see commitOn).
+func (np *NP) CommitAll() (uint64, error) { return np.commitOn(np.allCores()) }
+
+// commitOn is the one set-wide commit body, all-or-nothing over the listed
+// cores: if any has nothing staged, none is cut over, and cores outside
+// the set are neither checked nor touched. Cores commit one at a time,
+// each at its own packet boundary — the data plane never pauses set-wide,
+// and a packet in flight on core 1 while core 0 commits still sees a
+// consistent (old or new, never mixed) image on whichever core runs it.
+func (np *NP) commitOn(cores []int) (uint64, error) {
+	for _, coreID := range cores {
+		if !np.HasStaged(coreID) {
+			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingStaged)
 		}
 	}
 	var cycles uint64
-	for i := range np.slots {
-		c, err := np.Commit(i)
+	for _, coreID := range cores {
+		c, err := np.Commit(coreID)
 		if err != nil {
 			return cycles, err
 		}
@@ -151,9 +144,12 @@ func (np *NP) AbortStaged(coreID int) error {
 }
 
 // AbortAllStaged discards every core's staged bundle.
-func (np *NP) AbortAllStaged() {
-	for i := range np.slots {
-		_ = np.AbortStaged(i)
+func (np *NP) AbortAllStaged() { np.abortOn(np.allCores()) }
+
+// abortOn discards the staged bundles of the listed cores.
+func (np *NP) abortOn(cores []int) {
+	for _, coreID := range cores {
+		_ = np.AbortStaged(coreID)
 	}
 }
 
@@ -183,20 +179,20 @@ func (np *NP) Rollback(coreID int) (uint64, error) {
 	return commitCycles, nil
 }
 
-// RollbackAll rolls every core back, all-or-nothing: if any core has no
-// retained version, no core is touched.
-func (np *NP) RollbackAll() (uint64, error) {
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		ok := slot.prev != nil
-		slot.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("npu: core %d: %w", i, ErrNothingRetained)
+// RollbackAll rolls every core back, all-or-nothing (see rollbackOn).
+func (np *NP) RollbackAll() (uint64, error) { return np.rollbackOn(np.allCores()) }
+
+// rollbackOn is the one set-wide rollback body, all-or-nothing over the
+// listed cores: if any has no retained version, none is touched.
+func (np *NP) rollbackOn(cores []int) (uint64, error) {
+	for _, coreID := range cores {
+		if !np.CanRollback(coreID) {
+			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingRetained)
 		}
 	}
 	var cycles uint64
-	for i := range np.slots {
-		c, err := np.Rollback(i)
+	for _, coreID := range cores {
+		c, err := np.Rollback(coreID)
 		if err != nil {
 			return cycles, err
 		}

@@ -140,7 +140,7 @@ func TestPlaneControlIdempotency(t *testing.T) {
 	// The worker dead-path replay: the worker detects a wedged NP and
 	// accounts a 5-packet unprocessed batch tail on a card a concurrent
 	// FailShard already failed (the worker holds no lock during
-	// DrainBatch, so this race is real). The tail reaches both the card
+	// the drain, so this race is real). The tail reaches both the card
 	// tally and the plane-wide counter from the worker's own accounting,
 	// and the worker's failCard replay must lose the CAS — no second
 	// failover, no divergence between the three views.

@@ -12,7 +12,7 @@ package shard
 //
 //	arena free list → Submit (copies the caller's bytes in, may CE-mark
 //	the copy) → ingress ring → shard worker batch → NP batch engine
-//	(DrainBatchRelease: the engine DMAs the bytes into core memory and
+//	(DrainBatchDomainRelease: the engine DMAs the bytes into core memory and
 //	never retains the input slice) → back to the arena free list.
 //
 // Exactly one stage owns a buffer at any instant, which is why no

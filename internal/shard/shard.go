@@ -30,12 +30,15 @@
 //     rehash onto the surviving shards. Rendezvous hashing moves only the
 //     failed shard's flows; every other flow keeps its shard and its order.
 //
-//   - tenancy (DESIGN.md §17): with Config.Tenancy set, every shard splits
-//     into per-tenant lanes — one ring, arena, admission threshold pair,
-//     and counter set per (card, tenant) — and dispatch classifies each
+//   - tenancy (DESIGN.md §17): every shard has one lane per tenant — one
+//     ring, arena, admission threshold pair, and counter set per (card,
+//     tenant) — and each lane drains onto its tenant's npu protection
+//     domain through the NP's one drain entry
+//     (npu.DrainBatchDomainRelease). An untenanted plane is the one-tenant
+//     case whose tenant is the root domain "", the whole of an
+//     unpartitioned NP. With several tenants, dispatch classifies each
 //     packet to a tenant (flow class) before picking a shard, so a
-//     tenant's flows only ever land on its own lanes and drain onto its
-//     own npu protection domain (npu.DrainBatchDomain). Isolation is
+//     tenant's flows only ever land on its own lanes. Isolation is
 //     structural: tenant A flooding its lane past capacity tail-drops A's
 //     packets on A's counters; B's lane, thresholds, and counters never
 //     move. A lane whose domain wedges fails over alone (its flows rehash
@@ -186,10 +189,12 @@ type Config struct {
 	// the NPs also publish per-core rings, or the indexes overlap. Nil
 	// disables telemetry.
 	Obs *obs.Collector
-	// Tenancy, when non-nil with more than one tenant, splits every shard
-	// into per-tenant lanes dispatched by Classify. Nil (or one tenant)
-	// keeps the historical single-tenant plane: one lane per card, the
-	// whole NP as its domain, unlabeled metric names.
+	// Tenancy, when non-nil, gives every shard one lane per tenant, each
+	// draining onto that tenant's protection domain only. More than one
+	// tenant needs Classify and labels every shard_* series with the
+	// tenant; one tenant keeps the unlabeled names. Nil is the untenanted
+	// plane: one lane per card draining the root domain "", which is the
+	// whole NP when it is not partitioned.
 	Tenancy *TenancyConfig
 	// RecordBatchCycles retains every drained batch's simulated cycle cost
 	// for latency percentiles. Bench-only: it allocates per batch.
@@ -460,13 +465,13 @@ func NewPlane(cfg Config) (*Plane, error) {
 		if np == nil {
 			return nil, fmt.Errorf("shard: NP %d is nil", i)
 		}
-		if numT > 1 {
-			// Every tenant must own a protection domain on every card, or
-			// its flows would have nowhere to run when they land there.
-			for _, name := range tenants {
-				if _, err := np.DomainCores(name); err != nil {
-					return nil, fmt.Errorf("shard: NP %d: %w", i, err)
-				}
+		// Every tenant must own a protection domain on every card, or its
+		// flows would have nowhere to run when they land there. (The
+		// untenanted plane's one lane drains the root domain "", which
+		// every NP has.)
+		for _, name := range tenants {
+			if _, err := np.DomainCores(name); err != nil {
+				return nil, fmt.Errorf("shard: NP %d: %w", i, err)
 			}
 		}
 		lc := &lineCard{
@@ -478,14 +483,12 @@ func NewPlane(cfg Config) (*Plane, error) {
 		}
 		for t, name := range tenants {
 			tlabel := ""
-			domain := ""
 			if numT > 1 {
 				tlabel = name
-				domain = name
 			}
 			lane := &tenantLane{
 				tenant: t,
-				domain: domain,
+				domain: name,
 				ring:   cfg.Obs.Ring(i*numT + t),
 				depth: reg.Gauge(obs.Labeled("shard_queue_depth",
 					"shard", strconv.Itoa(i), "tenant", tlabel)),
@@ -526,15 +529,12 @@ func (p *Plane) tenantOf(pkt []byte) int {
 	return t
 }
 
-// ShardFor reports which shard the dispatcher would pick for a flow key of
-// tenant 0 right now — the rendezvous argmax over the shards currently
-// healthy for that tenant, the same choice Submit makes. -1 when no shard
-// is healthy. Multi-tenant callers want ShardForTenant.
-func (p *Plane) ShardFor(key uint64) int { return p.ShardForTenant(key, 0) }
-
-// ShardForTenant is ShardFor for one tenant's flows: cards whose lane for
-// this tenant has failed are skipped even while the card itself stays
-// alive for other tenants.
+// ShardForTenant reports which shard the dispatcher would pick for a flow
+// key of one tenant (0 on an untenanted plane) right now — the rendezvous
+// argmax over the shards currently healthy for that tenant, the same
+// choice Submit makes. Cards whose lane for this tenant has failed are
+// skipped even while the card itself stays alive for other tenants. -1
+// when no shard is healthy.
 func (p *Plane) ShardForTenant(key uint64, tenant int) int {
 	if tenant < 0 || tenant >= len(p.tenants) {
 		return -1
@@ -846,7 +846,6 @@ func (p *Plane) worker(lc *lineCard) {
 	defer p.wg.Done()
 	batch := make([][]byte, p.batchSize)
 	bufs := make([]*pbuf, p.batchSize)
-	single := len(lc.lanes) == 1
 	for {
 		if lc.failed.Load() {
 			p.shedAndExit(lc, 0)
@@ -896,21 +895,8 @@ func (p *Plane) worker(lc *lineCard) {
 					bufs[i] = nil
 				}
 			}
-			var out npu.BatchOutcome
-			var err error
-			if single {
-				out, err = lc.np.DrainBatchRelease(batch[:n], lane.queue.Len(), release)
-			} else {
-				out, err = lc.np.DrainBatchDomainRelease(lane.domain, batch[:n], lane.queue.Len(), release)
-			}
-
-			healthy := false
-			if single {
-				healthy = lc.np.Healthy()
-			} else {
-				healthy = lc.np.HealthyDomain(lane.domain)
-			}
-			dead := !healthy ||
+			out, err := lc.np.DrainBatchDomainRelease(lane.domain, batch[:n], lane.queue.Len(), release)
+			dead := !lc.np.HealthyDomain(lane.domain) ||
 				(err != nil && (errors.Is(err, npu.ErrNoCoreAvailable) || errors.Is(err, npu.ErrNoAppInstalled)))
 
 			lc.batches.Add(1)
@@ -1199,14 +1185,15 @@ func (p *Plane) Close() {
 	p.wg.Wait()
 }
 
-// ShardStats is one line card's accounting (all lanes folded together).
-type ShardStats struct {
-	Shard     int
-	Failed    bool
-	Arrived   uint64 // dispatched to this shard (including tail drops)
+// counts is the packet accounting every level of the plane shares — one
+// lane, one card, one tenant, the whole plane — so conservation has one
+// formula. ShardStats, TenantStats and PlaneStats embed it; its fields
+// and Conserved are promoted onto each.
+type counts struct {
+	Arrived   uint64 // dispatched (including tail drops)
 	TailDrops uint64
 	Marked    uint64 // CE-marked at admission
-	Starved   uint64 // shed at failover (queue + unfinished batch tail)
+	Starved   uint64 // shed at failover, or no healthy lane at submit
 	Processed uint64 // ran on a core
 	Forwarded uint64
 	AppDrops  uint64 // verdict, alarm and fault drops
@@ -1215,79 +1202,98 @@ type ShardStats struct {
 	Faults    uint64
 	ECNMarked uint64 // forwarded packets leaving with the CE mark
 	Cycles    uint64 // simulated core cycles consumed
-	Batches   uint64
-	MaxDepth  int // peak lane depth on this card
-	Backlog   int // on the rings + in the worker's unaccounted batch at snapshot time
+	Backlog   uint64 // on the rings + in a worker's unaccounted batch at snapshot time
+}
+
+// add accumulates o into c.
+func (c *counts) add(o *counts) {
+	c.Arrived += o.Arrived
+	c.TailDrops += o.TailDrops
+	c.Marked += o.Marked
+	c.Starved += o.Starved
+	c.Processed += o.Processed
+	c.Forwarded += o.Forwarded
+	c.AppDrops += o.AppDrops
+	c.Rejected += o.Rejected
+	c.Alarms += o.Alarms
+	c.Faults += o.Faults
+	c.ECNMarked += o.ECNMarked
+	c.Cycles += o.Cycles
+	c.Backlog += o.Backlog
+}
+
+// settled counts the packets whose fate is decided.
+func (c *counts) settled() uint64 {
+	return c.Forwarded + c.AppDrops + c.Rejected + c.TailDrops + c.Starved
+}
+
+// Conserved checks packet conservation: every arrived packet is exactly
+// one of forwarded, app-dropped, rejected, tail-dropped, starved, or still
+// queued — at any instant, not just at quiescence. This is the invariant
+// the fault-injection suite pins, per tenant and in aggregate; a lost or
+// double-counted packet surfaces as a nonzero (or wrapped-negative)
+// Backlog once the plane quiesces.
+func (c counts) Conserved() bool { return c.Arrived == c.settled()+c.Backlog }
+
+// ShardStats is one line card's accounting (all lanes folded together).
+type ShardStats struct {
+	Shard  int
+	Failed bool
+	counts
+	Batches  uint64
+	MaxDepth int // peak lane depth on this card
 }
 
 // TenantStats is one tenant's accounting across every card, plus the
 // submissions starved before reaching any card. The per-tenant
 // conservation invariant is stated on this struct.
 type TenantStats struct {
-	Tenant    int
-	Name      string
-	Arrived   uint64
-	TailDrops uint64
-	Marked    uint64
-	Starved   uint64
-	Processed uint64
-	Forwarded uint64
-	AppDrops  uint64
-	Rejected  uint64
-	Alarms    uint64
-	Faults    uint64
-	ECNMarked uint64
-	Cycles    uint64
-	Backlog   uint64
+	Tenant int
+	Name   string
+	counts
 	LanesDead int // failed (card, tenant) lanes
 }
 
-// Conserved checks the per-tenant conservation invariant: every packet
-// classified to this tenant is exactly one of forwarded, app-dropped,
-// rejected, tail-dropped, starved, or still queued — at any instant, not
-// just at quiescence.
-func (s TenantStats) Conserved() bool {
-	return s.Arrived == s.Forwarded+s.AppDrops+s.Rejected+s.TailDrops+s.Starved+s.Backlog
-}
-
-// PlaneStats aggregates the plane.
+// PlaneStats aggregates the plane. Its Arrived counts total Submit calls,
+// including submissions the classifier refused (which belong to no tenant
+// and enter only this aggregate, as starved).
 type PlaneStats struct {
 	Shards  []ShardStats
 	Tenants []TenantStats
-	// Arrived counts total Submit calls, including submissions the
-	// classifier refused (which belong to no tenant).
-	Arrived   uint64
-	Forwarded uint64
-	AppDrops  uint64
-	Rejected  uint64
-	TailDrops uint64
-	Marked    uint64
-	Starved   uint64 // failover sheds + submissions with no healthy shard
-	ECNMarked uint64
-	Backlog   uint64
+	counts
 	Failovers uint64
 }
 
-// Conserved checks packet conservation: every submitted packet is exactly
-// one of forwarded, app-dropped, rejected, tail-dropped, starved, or still
-// queued. This is the invariant the fault-injection suite pins; a lost or
-// double-counted packet surfaces as a nonzero (or wrapped-negative)
-// Backlog once the plane quiesces.
-func (s PlaneStats) Conserved() bool {
-	return s.Arrived == s.Forwarded+s.AppDrops+s.Rejected+s.TailDrops+s.Starved+s.Backlog
+// snapshot reads a lane's tallies: the settled outcome counters first and
+// the arrival counter last. Every write path counts a packet's arrival
+// before its outcome, so this read order bounds the derived backlog
+// (arrived minus settled) below by the true in-flight count and above by
+// packets that arrived during the snapshot — never negative, and zero at
+// quiescence.
+func (lane *tenantLane) snapshot() counts {
+	c := counts{
+		TailDrops: lane.tailDrops.Load(),
+		Marked:    lane.marked.Load(),
+		Starved:   lane.starved.Load(),
+		Processed: lane.processed.Load(),
+		Forwarded: lane.forwarded.Load(),
+		AppDrops:  lane.appDrops.Load(),
+		Rejected:  lane.rejected.Load(),
+		Alarms:    lane.alarms.Load(),
+		Faults:    lane.faults.Load(),
+		ECNMarked: lane.ecnMarked.Load(),
+		Cycles:    lane.cycles.Load(),
+	}
+	c.Arrived = lane.arrived.Load() // last: see above
+	c.Backlog = c.Arrived - c.settled()
+	return c
 }
 
-// Stats snapshots the plane without stopping it. Per lane, the settled
-// outcome counters are read first and the arrival counter last: every
-// write path counts a packet's arrival before its outcome, so this read
-// order bounds the derived backlog (arrived minus settled) below by the
-// true in-flight count and above by packets that arrived during the
-// snapshot — never negative, and zero at quiescence. Conserved() holds
-// for a mid-run snapshot — per tenant and in aggregate — not just after
-// Close.
+// Stats snapshots the plane without stopping it, folding each lane's
+// snapshot once into its card and its tenant. Conserved() holds for a
+// mid-run snapshot — per tenant and in aggregate — not just after Close.
 func (p *Plane) Stats() PlaneStats {
-	numT := len(p.tenants)
-	ps := PlaneStats{Tenants: make([]TenantStats, numT)}
+	ps := PlaneStats{Tenants: make([]TenantStats, len(p.tenants))}
 	for t := range ps.Tenants {
 		ps.Tenants[t].Tenant = t
 		ps.Tenants[t].Name = p.tenants[t]
@@ -1299,75 +1305,23 @@ func (p *Plane) Stats() PlaneStats {
 			Batches: lc.batches.Load(),
 		}
 		for _, lane := range lc.lanes {
+			c := lane.snapshot()
+			s.add(&c)
 			ts := &ps.Tenants[lane.tenant]
-			// Outcomes first, arrival last — the read-order contract.
-			tailDrops := lane.tailDrops.Load()
-			marked := lane.marked.Load()
-			starved := lane.starved.Load()
-			processed := lane.processed.Load()
-			forwarded := lane.forwarded.Load()
-			appDrops := lane.appDrops.Load()
-			rejected := lane.rejected.Load()
-			alarms := lane.alarms.Load()
-			faults := lane.faults.Load()
-			ecnMarked := lane.ecnMarked.Load()
-			cycles := lane.cycles.Load()
-			maxDepth := int(lane.maxDepth.Load())
-			arrived := lane.arrived.Load() // last: see above
-			settled := forwarded + appDrops + rejected + tailDrops + starved
-			backlog := arrived - settled
-
-			s.Arrived += arrived
-			s.TailDrops += tailDrops
-			s.Marked += marked
-			s.Starved += starved
-			s.Processed += processed
-			s.Forwarded += forwarded
-			s.AppDrops += appDrops
-			s.Rejected += rejected
-			s.Alarms += alarms
-			s.Faults += faults
-			s.ECNMarked += ecnMarked
-			s.Cycles += cycles
-			if maxDepth > s.MaxDepth {
-				s.MaxDepth = maxDepth
-			}
-			s.Backlog += int(backlog)
-
-			ts.Arrived += arrived
-			ts.TailDrops += tailDrops
-			ts.Marked += marked
-			ts.Starved += starved
-			ts.Processed += processed
-			ts.Forwarded += forwarded
-			ts.AppDrops += appDrops
-			ts.Rejected += rejected
-			ts.Alarms += alarms
-			ts.Faults += faults
-			ts.ECNMarked += ecnMarked
-			ts.Cycles += cycles
-			ts.Backlog += backlog
+			ts.add(&c)
+			s.MaxDepth = max(s.MaxDepth, int(lane.maxDepth.Load()))
 			if lane.dead.Load() {
 				ts.LanesDead++
 			}
 		}
+		ps.add(&s.counts)
 		ps.Shards = append(ps.Shards, s)
-		ps.Arrived += s.Arrived
-		ps.Forwarded += s.Forwarded
-		ps.AppDrops += s.AppDrops
-		ps.Rejected += s.Rejected
-		ps.TailDrops += s.TailDrops
-		ps.Marked += s.Marked
-		ps.Starved += s.Starved
-		ps.ECNMarked += s.ECNMarked
-		ps.Backlog += uint64(s.Backlog)
 	}
 	for t := range ps.Tenants {
 		st := p.starvedSubmit[t].Load()
-		ps.Tenants[t].Arrived += st
-		ps.Tenants[t].Starved += st
-		ps.Arrived += st
-		ps.Starved += st
+		pre := counts{Arrived: st, Starved: st}
+		ps.Tenants[t].add(&pre)
+		ps.add(&pre)
 	}
 	un := p.starvedUnclass.Load()
 	ps.Arrived += un

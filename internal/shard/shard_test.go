@@ -182,7 +182,7 @@ func TestPlaneNotECTDropInsteadOfMark(t *testing.T) {
 }
 
 // TestPlaneFlowAffinity pins the core dispatch property: a single flow's
-// packets all land on exactly one shard, and it is the shard ShardFor
+// packets all land on exactly one shard, and it is the shard ShardForTenant
 // predicts.
 func TestPlaneFlowAffinity(t *testing.T) {
 	nps := make([]*npu.NP, 4)
@@ -198,7 +198,7 @@ func TestPlaneFlowAffinity(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := gen.Next()
-	want := plane.ShardFor(FlowKeyOf(first))
+	want := plane.ShardForTenant(FlowKeyOf(first), 0)
 	plane.Submit(first)
 	for i := 0; i < 199; i++ {
 		plane.Submit(gen.Next())
@@ -245,7 +245,7 @@ func TestPlaneRendezvousMinimalDisruption(t *testing.T) {
 		pkt, idx := gen.NextIndexed()
 		_ = idx
 		keys[i] = FlowKeyOf(pkt)
-		before[i] = plane.ShardFor(keys[i])
+		before[i] = plane.ShardForTenant(keys[i], 0)
 		if before[i] == victim && victimFlow < 0 {
 			victimFlow = i
 		}
@@ -272,7 +272,7 @@ func TestPlaneRendezvousMinimalDisruption(t *testing.T) {
 
 	moved := 0
 	for i, key := range keys {
-		after := plane.ShardFor(key)
+		after := plane.ShardForTenant(key, 0)
 		if after == victim {
 			t.Fatalf("flow %d still dispatched to the dead shard", i)
 		}

@@ -90,6 +90,8 @@ func TestNewPlaneTenancyValidation(t *testing.T) {
 			Tenancy: &TenancyConfig{Tenants: []string{"a", "a"}, Classify: classifyBySrc}},
 		{NPs: []*npu.NP{tenantNP(t, 0)}, QueueCapacity: 8,
 			Tenancy: &TenancyConfig{Tenants: []string{"a", ""}, Classify: classifyBySrc}},
+		{NPs: []*npu.NP{plain}, QueueCapacity: 8,
+			Tenancy: &TenancyConfig{Tenants: []string{"a"}}}, // one tenant, no domain
 	}
 	for i, cfg := range cases {
 		if p, err := NewPlane(cfg); err == nil {
@@ -548,12 +550,16 @@ func TestPerTenantConservationUnderChaos(t *testing.T) {
 	}
 }
 
-// TestSingleTenantTenancyNoop: a one-tenant TenancyConfig behaves exactly
-// like the historical plane — unlabeled series, whole-NP drains.
+// TestSingleTenantTenancyNoop: a one-tenant TenancyConfig keeps the
+// untenanted plane's unlabeled series, and drains onto its own domain.
 func TestSingleTenantTenancyNoop(t *testing.T) {
 	col := obs.New(64)
+	np := planeNP(t, 2, 5)
+	if err := np.SetDomains([]npu.DomainSpec{{Name: "solo", Cores: []int{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
 	plane, err := NewPlane(Config{
-		NPs:           []*npu.NP{planeNP(t, 2, 5)},
+		NPs:           []*npu.NP{np},
 		QueueCapacity: 32,
 		Obs:           col,
 		Tenancy:       &TenancyConfig{Tenants: []string{"solo"}},

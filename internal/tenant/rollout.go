@@ -6,10 +6,10 @@ package tenant
 // protection domain across the plane's NPs. Every step addresses cores
 // through the tenant's domain name — StageInstallDomainAll,
 // CommitDomainAll, RollbackDomainAll — so the rollout is structurally
-// unable to touch another tenant's slots: the npu layer refuses
-// out-of-domain cores before any state moves, and the isolation test
-// byte-compares a bystander's telemetry across a hostile rollout to prove
-// it.
+// unable to touch another tenant's slots: the npu layer resolves the name
+// to the domain's own cores before any state moves, and the isolation
+// test byte-compares a bystander's telemetry across a hostile rollout to
+// prove it.
 
 import (
 	"errors"
@@ -49,7 +49,7 @@ type Report struct {
 }
 
 // sampleDomain runs n deterministic packets through one NP's tenant domain
-// and measures the domain's own outcome. The batch-local delta (DrainBatch
+// and measures the domain's own outcome. The batch-local delta (the drain
 // reports exactly this batch's counters) plus the domain quarantine delta
 // make the sample immune to concurrent traffic on other tenants' cores.
 func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (npu.HealthSample, error) {
@@ -61,7 +61,7 @@ func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (npu.
 	if err != nil {
 		return npu.HealthSample{}, err
 	}
-	out, derr := np.DrainBatchDomain(domain, pkts, 0)
+	out, derr := np.DrainBatchDomainRelease(domain, pkts, 0, nil)
 	after, err := np.StatsDomain(domain)
 	if err != nil {
 		return npu.HealthSample{}, err

@@ -11,8 +11,9 @@
 //
 //   - cores: each tenant owns an exclusive slice of every NP's core slots
 //     (npu.SetDomains), and every install, stage, commit, rollback and
-//     quarantine the manager performs goes through the domain-gated npu
-//     entry points — a call that names another tenant's core is refused
+//     quarantine the manager performs goes through the domain-scoped npu
+//     entry points — a set-wide call addresses exactly the tenant's own
+//     cores, and a quarantine that names another tenant's core is refused
 //     with npu.ErrDomainViolation before any state moves;
 //
 //   - monitoring: each tenant's bundles carry its own monitoring graphs,
@@ -161,19 +162,13 @@ func New(cfg Config) (*Manager, error) {
 			return nil, fmt.Errorf("tenant: NP %d: %w", i, err)
 		}
 	}
-	var tenancy *shard.TenancyConfig
-	if len(names) > 1 || cfg.Classify != nil {
-		tenancy = &shard.TenancyConfig{Tenants: names, Classify: cfg.Classify}
-	} else {
-		tenancy = &shard.TenancyConfig{Tenants: names}
-	}
 	plane, err := shard.NewPlane(shard.Config{
 		NPs:           cfg.NPs,
 		QueueCapacity: cfg.QueueCapacity,
 		MarkThreshold: cfg.MarkThreshold,
 		BatchSize:     cfg.BatchSize,
 		Obs:           cfg.Obs,
-		Tenancy:       tenancy,
+		Tenancy:       &shard.TenancyConfig{Tenants: names, Classify: cfg.Classify},
 	})
 	if err != nil {
 		return nil, err

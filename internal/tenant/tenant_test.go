@@ -133,6 +133,54 @@ func TestInstallLedgerAntiDowngrade(t *testing.T) {
 	}
 }
 
+// TestSingleTenantManagerStaysInDomain pins the one-tenant leak: a lone
+// tenant owning cores 0 and 1 of a 4-core NP must drain onto its own cores
+// only, never onto the root domain's cores 2 and 3, even while operator
+// software is live there.
+func TestSingleTenantManagerStaysInDomain(t *testing.T) {
+	np := tnp(t, 4, npu.SupervisorConfig{})
+	const n = 128
+	mgr, err := New(Config{
+		NPs:           []*npu.NP{np},
+		Specs:         []Spec{{Name: "a", Cores: []int{0, 1}}},
+		QueueCapacity: 2 * n,
+		MarkThreshold: 2 * n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Install("a", AppBundle{App: apps.UDPEcho(), Param: 0xA1, Sequence: 1}); err != nil {
+		t.Fatal(err)
+	}
+	binary, graph, err := build(AppBundle{App: apps.UDPEcho(), Param: 0x0F})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []int{2, 3} {
+		if err := np.Install(core, "udpecho", binary, graph, 0x0F); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for flow := uint16(0); flow < n; flow++ {
+		mgr.Plane().Submit(mustPkt(t, 0, flow))
+	}
+	mgr.Close()
+	root, err := np.StatsDomain("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := np.StatsDomain("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Processed != 0 {
+		t.Errorf("root domain processed %d of tenant a's packets", root.Processed)
+	}
+	if a.Processed != n {
+		t.Errorf("tenant a's domain processed %d packets, want %d", a.Processed, n)
+	}
+}
+
 func TestInstallLandsOnlyOnTenantSlots(t *testing.T) {
 	mgr := twoTenantMgr(t, 2, nil, npu.SupervisorConfig{})
 	defer mgr.Close()
